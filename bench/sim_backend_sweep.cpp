@@ -125,14 +125,14 @@ void mixed_vs_sim_section(int hw, apsq::bench::BenchJson& rep) {
   mix_opt.promote_objectives = el;
   double mixed_secs = 0.0;
   std::vector<EvalResult> mres;
-  MixedSweepStats ms;
+  SearchStats ms;
   for (int attempt = 0; attempt < kReps; ++attempt) {
     Evaluator mix_eval(mix_opt);
     const auto t1 = std::chrono::steady_clock::now();
     mres = mix_eval.evaluate_space(space);
     const double secs = seconds_since(t1);
     mixed_secs = attempt == 0 ? secs : std::min(mixed_secs, secs);
-    ms = mix_eval.mixed_stats();
+    ms = mix_eval.promotion_stats();
   }
   const std::vector<EvalResult> mixed_front =
       pareto_front_by_workload(promoted_subset(mres), el);
@@ -161,7 +161,7 @@ void mixed_vs_sim_section(int hw, apsq::bench::BenchJson& rep) {
   t.add_row({"sim+cal", Table::num(sim_secs, 3),
              std::to_string(space.size()), std::to_string(sim_front.size()),
              "-", "-"});
-  t.add_row({"mixed", Table::num(mixed_secs, 3), std::to_string(ms.promoted),
+  t.add_row({"mixed", Table::num(mixed_secs, 3), std::to_string(ms.evaluated),
              std::to_string(mixed_front.size()),
              std::to_string(recovered) + "/" + std::to_string(sim_front.size()),
              Table::ratio(sim_secs / mixed_secs)});
@@ -198,7 +198,7 @@ void adaptive_vs_fixed_section(int hw, apsq::bench::BenchJson& rep) {
   struct Row {
     const char* name;
     double secs = 0.0;
-    MixedSweepStats ms;
+    SearchStats ms;
     std::string front_csv;
     size_t rounds = 0;
   };
@@ -213,8 +213,8 @@ void adaptive_vs_fixed_section(int hw, apsq::bench::BenchJson& rep) {
       const std::vector<EvalResult> res = eval.evaluate_space(space);
       const double secs = seconds_since(t0);
       row.secs = attempt == 0 ? secs : std::min(row.secs, secs);
-      row.ms = eval.mixed_stats();
-      row.rounds = eval.mixed_stats().rounds.size();
+      row.ms = eval.promotion_stats();
+      row.rounds = eval.promotion_stats().rounds.size();
       row.front_csv =
           results_csv(pareto_front_by_workload(promoted_subset(res), el))
               .to_string();
@@ -231,7 +231,7 @@ void adaptive_vs_fixed_section(int hw, apsq::bench::BenchJson& rep) {
   const Row adaptive = timed("adaptive (front-stability)", adaptive_opt);
 
   EvaluatorOptions budget_opt = base_opts();
-  budget_opt.promote_budget = fixed.ms.promoted;  // same simulation budget
+  budget_opt.promote_budget = fixed.ms.evaluated;  // same simulation budget
   const Row budget = timed("budget = fixed's count", budget_opt);
 
   std::cout << "\n--- mixed promotion rules (" << space.size()
@@ -241,7 +241,7 @@ void adaptive_vs_fixed_section(int hw, apsq::bench::BenchJson& rep) {
            "Front == fixed band"});
   for (const Row* r : {&fixed, &adaptive, &budget})
     t.add_row({r->name, Table::num(r->secs, 3),
-               std::to_string(r->ms.promoted), std::to_string(r->rounds),
+               std::to_string(r->ms.evaluated), std::to_string(r->rounds),
                r == &fixed ? "-"
                            : (r->front_csv == fixed.front_csv ? "yes" : "NO")});
   t.print(std::cout);

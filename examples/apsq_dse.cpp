@@ -343,6 +343,19 @@ bool parse(int argc, char** argv, Options& o) {
   return true;
 }
 
+/// One line per round: a promotion rung (mixed sweep, halving search) or
+/// an evolve generation.
+void print_rounds(const SearchStats& ss) {
+  for (size_t r = 0; r < ss.rounds.size(); ++r) {
+    const SearchRoundStats& rs = ss.rounds[r];
+    std::cout << "  round " << r << ": band " << Table::num(rs.band, 4)
+              << ", " << rs.candidates << " candidates, +" << rs.evaluated_new
+              << " evaluated, front " << rs.front_size
+              << (rs.front_changed ? " (changed)" : " (stable)") << ", "
+              << Table::num(rs.secs, 2) << " s\n";
+  }
+}
+
 void print_cache_line(const char* name, const CacheStats& s, bool last) {
   std::cout << name << " " << s.hits << "/" << s.misses;
   if (s.races > 0) std::cout << "/" << s.races << "r";
@@ -391,61 +404,45 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
               << " strategy, budget " << cfg.budget << ", " << ss.evaluated
               << " budgeted evaluations over " << ss.explored
               << " explored points in " << Table::num(ss.secs, 2) << " s\n";
-    for (size_t r = 0; r < ss.rounds.size(); ++r) {
-      const SearchRoundStats& rs = ss.rounds[r];
-      std::cout << "  round " << r << ": band " << Table::num(rs.band, 4)
-                << ", " << rs.candidates << " candidates, +"
-                << rs.evaluated_new << " evaluated, front " << rs.front_size
-                << (rs.front_changed ? " (changed)" : " (stable)") << ", "
-                << Table::num(rs.secs, 2) << " s\n";
-    }
+    print_rounds(ss);
   }
   if (ro.stats) {
+    // One whole-result table per fidelity in use (energy_cache_stats is
+    // the analytic one), then the two shared sub-evaluation tables.
     std::cout << "cache hits/misses[/races] — ";
-    print_cache_line("energy", eval.energy_cache_stats(), false);
+    if (cfg.backend != EvalBackend::kSim)
+      print_cache_line("analytic", eval.energy_cache_stats(), false);
+    if (cfg.backend != EvalBackend::kAnalytic)
+      print_cache_line("sim", eval.sim_cache_stats(), false);
     print_cache_line("area", eval.area_cache_stats(), false);
-    print_cache_line("accuracy", eval.accuracy_cache_stats(), false);
-    if (cfg.backend == EvalBackend::kAnalytic) {
-      print_cache_line("latency", eval.latency_cache_stats(), true);
-    } else if (cfg.backend == EvalBackend::kSim) {
-      print_cache_line("sim", eval.sim_cache_stats(), true);
-    } else {
-      print_cache_line("latency", eval.latency_cache_stats(), false);
-      print_cache_line("sim", eval.sim_cache_stats(), true);
-    }
+    print_cache_line("accuracy", eval.accuracy_cache_stats(), true);
     const WorkStealingPool& pool = WorkStealingPool::shared();
     std::cout << "pool: " << pool.num_threads() << " threads, "
               << pool.run_count() << " runs, " << pool.steal_count()
               << " steals\n";
   }
   if (cfg.mixed() && !cfg.search() && ro.stats) {
-    const MixedSweepStats& ms = eval.mixed_stats();
-    const double pct = ms.total > 0 ? 100.0 * static_cast<double>(ms.promoted) /
-                                          static_cast<double>(ms.total)
-                                    : 0.0;
-    std::cout << "mixed phases — analytic: " << ms.total << " pts in "
-              << Table::num(ms.phase1_secs, 2) << " s; "
-              << to_string(ms.mode) << " promotion ";
-    if (ms.mode == PromoteMode::kBudget)
-      std::cout << "(budget " << ms.budget << ", effective band "
-                << Table::num(ms.band, 3) << ")";
+    // The same ladder accounting a halving search prints: the rule, what
+    // it cost, and one line per rung, so the stopping decision is
+    // auditable.
+    const SearchStats& ps = eval.promotion_stats();
+    const double pct =
+        ps.explored > 0 ? 100.0 * static_cast<double>(ps.evaluated) /
+                              static_cast<double>(ps.explored)
+                        : 0.0;
+    std::cout << "promotion: ";
+    if (cfg.promote_adaptive)
+      std::cout << "adaptive";
+    else if (cfg.promote_budget_set)
+      std::cout << "budget " << cfg.promote_budget;
     else
-      std::cout << "(band " << Table::num(ms.band, 3) << ")";
-    std::cout << " sent " << ms.promoted << " pts (" << Table::num(pct, 1)
-              << "%) to sim+cal in " << Table::num(ms.phase2_secs, 2)
+      std::cout << "band " << Table::num(cfg.promote_band, 3);
+    std::cout << " rule — " << ps.explored << " analytic pts in "
+              << Table::num(ps.secs - ps.rounds_secs(), 2) << " s, "
+              << ps.evaluated << " (" << Table::num(pct, 1)
+              << "%) promoted to sim+cal in " << Table::num(ps.rounds_secs(), 2)
               << " s\n";
-    // Adaptive sweeps: show the ladder so the stopping decision is
-    // auditable — which widenings still moved the front, and what each
-    // one cost in newly simulated points.
-    if (ms.mode == PromoteMode::kAdaptive)
-      for (size_t r = 0; r < ms.rounds.size(); ++r) {
-        const MixedRoundStats& rs = ms.rounds[r];
-        std::cout << "  round " << r << ": band " << Table::num(rs.band, 4)
-                  << " +" << rs.promoted_new << " pts (total "
-                  << rs.promoted_total << "), front " << rs.front_size
-                  << (rs.front_changed ? " (changed)" : " (stable)") << ", "
-                  << Table::num(rs.secs, 2) << " s\n";
-      }
+    print_rounds(ps);
   }
   if (eval.calibrator())
     std::cout << "calibration: " << eval.calibrator()->family_count()

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -39,16 +40,6 @@ EvalBackend parse_backend(const std::string& name) {
                               backend_name_list() + ")");
 }
 
-const char* to_string(PromoteMode m) {
-  switch (m) {
-    case PromoteMode::kBand: return "band";
-    case PromoteMode::kAdaptive: return "adaptive";
-    case PromoteMode::kBudget: return "budget";
-  }
-  APSQ_CHECK_MSG(false, "unknown promote mode");
-  return "";
-}
-
 Evaluator::Evaluator(EvaluatorOptions opt) : opt_(opt) {
   APSQ_CHECK_MSG(opt_.threads >= 1, "Evaluator needs >= 1 thread");
   APSQ_CHECK_MSG(opt_.sim.threads >= 1, "sim runner needs >= 1 thread");
@@ -58,16 +49,7 @@ Evaluator::Evaluator(EvaluatorOptions opt) : opt_(opt) {
                  "promote_budget must be >= 0, got " << opt_.promote_budget);
   APSQ_CHECK_MSG(!(opt_.promote_adaptive && opt_.promote_budget > 0),
                  "adaptive and budgeted promotion are mutually exclusive");
-  APSQ_CHECK_MSG(opt_.adaptive_start > 0.0 &&
-                     std::isfinite(opt_.adaptive_start),
-                 "adaptive_start must be a positive finite band, got "
-                     << opt_.adaptive_start);
-  APSQ_CHECK_MSG(opt_.adaptive_growth > 1.0,
-                 "adaptive_growth must be > 1, got " << opt_.adaptive_growth);
-  APSQ_CHECK_MSG(opt_.adaptive_stability >= 1,
-                 "adaptive_stability must be >= 1, got "
-                     << opt_.adaptive_stability);
-  // Mixed puts phase-2 sim scores next to phase-1 analytic ones, so the
+  // Mixed puts promoted sim scores next to analytic ones, so the
   // sim scores must be in analytic absolute units: calibration is not
   // optional there.
   if (opt_.backend == EvalBackend::kMixed) opt_.calibrate = true;
@@ -97,14 +79,6 @@ const Workload& Evaluator::workload(const std::string& name) {
   return it->second;
 }
 
-double Evaluator::energy_for(const DesignPoint& p) {
-  return energy_tt_.lookup_or_compute(canonical_key(p), [&] {
-    return workload_energy(p.dataflow, workload(p.workload), p.acc, p.psum,
-                           opt_.costs)
-        .total_pj();
-  });
-}
-
 double Evaluator::area_for(const DesignPoint& p) {
   // Area ignores workload and dataflow; the RAE is only instantiated for
   // APSQ configs (a plain low-bit or full-precision PSUM path needs no
@@ -132,60 +106,59 @@ double Evaluator::error_for(const DesignPoint& p) {
   });
 }
 
-Evaluator::PerfScore Evaluator::perf_score_for(const DesignPoint& p) {
-  return latency_tt_.lookup_or_compute(canonical_key(p), [&]() -> PerfScore {
-    const WorkloadPerformance perf = workload_performance(
-        p.dataflow, workload(p.workload), p.acc, p.psum, opt_.perf);
-    PerfScore s;
-    s.latency_s = perf.total_latency_s;
-    s.pe_utilization = perf.mean_utilization;
-    s.dram_bw_occupancy = perf.total_latency_s > 0.0
-                              ? perf.total_dram_time_s / perf.total_latency_s
-                              : 0.0;
-    s.macs = static_cast<double>(perf.total_macs);
-    return s;
-  });
+Evaluator::Measured Evaluator::measure_analytic(const DesignPoint& p) const {
+  const Workload& w = workload(p.workload);
+  const WorkloadPerformance perf =
+      workload_performance(p.dataflow, w, p.acc, p.psum, opt_.perf);
+  Measured m;
+  m.energy_pj =
+      workload_energy(p.dataflow, w, p.acc, p.psum, opt_.costs).total_pj();
+  m.latency_s = perf.total_latency_s;
+  m.pe_utilization = perf.mean_utilization;
+  m.dram_bw_occupancy = perf.total_latency_s > 0.0
+                            ? perf.total_dram_time_s / perf.total_latency_s
+                            : 0.0;
+  m.macs = static_cast<double>(perf.total_macs);
+  return m;
 }
 
-Evaluator::SimScore Evaluator::sim_score_for(const DesignPoint& p) {
-  return sim_tt_.lookup_or_compute(canonical_key(p), [&]() -> SimScore {
-    // With sim.threads > 1 the layer loop submits a nested scope into the
-    // process-wide shared pool — the same pool a parallel evaluate_space
-    // is running on — so point- and layer-level parallelism compose
-    // without oversubscription (the pool's width bounds concurrency).
-    const Workload& w = workload(p.workload);
-    const SimConfig cfg = sim_config_for(p);
-    const WorkloadRunResult r = run_workload(w, cfg, opt_.sim);
-    SimScore s;
-    // Utilization is a ratio of the scaled proxy's own measurements, so it
-    // needs no calibration — and the run_* helpers are allocation-free,
-    // keeping the scoring hot path free of telemetry-row construction.
-    s.pe_utilization = run_pe_utilization(
-        r, static_cast<double>(cfg.arch.po) * static_cast<double>(cfg.arch.pci) *
-               static_cast<double>(cfg.arch.pco));
-    if (calibrator_) {
-      if (opt_.calibrate_per_class) {
-        const ClassFactors cf = calibrator_->class_factors_for(p.workload, w, p);
-        s.energy_pj = calibrator_->calibrated_energy_pj(r, cf);
-        s.latency_s = calibrator_->calibrated_latency_s(r, cf);
-        s.dram_bw_occupancy = run_dram_bw_occupancy(r, opt_.perf, cf.fallback);
-        s.macs = cf.fallback.macs * static_cast<double>(r.total.mac_ops);
-      } else {
-        const CalibrationFactors f = calibrator_->factors_for(p.workload, w, p);
-        s.energy_pj = calibrator_->calibrated_energy_pj(r, f);
-        s.latency_s = calibrator_->calibrated_latency_s(r, f);
-        s.dram_bw_occupancy = run_dram_bw_occupancy(r, opt_.perf, f);
-        s.macs = f.macs * static_cast<double>(r.total.mac_ops);
-      }
+Evaluator::Measured Evaluator::measure_sim(const DesignPoint& p) {
+  // With sim.threads > 1 the layer loop submits a nested scope into the
+  // process-wide shared pool — the same pool a parallel evaluate_space is
+  // running on — so point- and layer-level parallelism compose without
+  // oversubscription (the pool's width bounds concurrency).
+  const Workload& w = workload(p.workload);
+  const SimConfig cfg = sim_config_for(p);
+  const WorkloadRunResult r = run_workload(w, cfg, opt_.sim);
+  Measured m;
+  // Utilization is a ratio of the scaled proxy's own measurements, so it
+  // needs no calibration — and the run_* helpers are allocation-free,
+  // keeping the scoring hot path free of telemetry-row construction.
+  m.pe_utilization = run_pe_utilization(
+      r, static_cast<double>(cfg.arch.po) * static_cast<double>(cfg.arch.pci) *
+             static_cast<double>(cfg.arch.pco));
+  if (calibrator_) {
+    if (opt_.calibrate_per_class) {
+      const ClassFactors cf = calibrator_->class_factors_for(p.workload, w, p);
+      m.energy_pj = calibrator_->calibrated_energy_pj(r, cf);
+      m.latency_s = calibrator_->calibrated_latency_s(r, cf);
+      m.dram_bw_occupancy = run_dram_bw_occupancy(r, opt_.perf, cf.fallback);
+      m.macs = cf.fallback.macs * static_cast<double>(r.total.mac_ops);
     } else {
-      s.energy_pj = r.energy_pj(opt_.costs);
-      s.latency_s = r.latency_s(opt_.perf);
-      s.dram_bw_occupancy =
-          run_dram_bw_occupancy(r, opt_.perf, CalibrationFactors{});
-      s.macs = static_cast<double>(r.total.mac_ops);
+      const CalibrationFactors f = calibrator_->factors_for(p.workload, w, p);
+      m.energy_pj = calibrator_->calibrated_energy_pj(r, f);
+      m.latency_s = calibrator_->calibrated_latency_s(r, f);
+      m.dram_bw_occupancy = run_dram_bw_occupancy(r, opt_.perf, f);
+      m.macs = f.macs * static_cast<double>(r.total.mac_ops);
     }
-    return s;
-  });
+  } else {
+    m.energy_pj = r.energy_pj(opt_.costs);
+    m.latency_s = r.latency_s(opt_.perf);
+    m.dram_bw_occupancy =
+        run_dram_bw_occupancy(r, opt_.perf, CalibrationFactors{});
+    m.macs = static_cast<double>(r.total.mac_ops);
+  }
+  return m;
 }
 
 WorkloadTelemetry Evaluator::telemetry_for(const DesignPoint& p,
@@ -217,29 +190,18 @@ EvalResult Evaluator::evaluate_at(const DesignPoint& p, EvalBackend fidelity) {
   r.point = p;
   r.obj.area_um2 = area_for(p);
   r.obj.error = error_for(p);
-  double macs = 0.0;
-  if (fidelity == EvalBackend::kSim) {
-    const SimScore s = sim_score_for(p);
-    r.obj.energy_pj = s.energy_pj;
-    r.obj.latency_s = s.latency_s;
-    r.obj.pe_utilization = s.pe_utilization;
-    r.obj.dram_bw_headroom = std::max(0.0, 1.0 - s.dram_bw_occupancy);
-    macs = s.macs;
-    r.scored_by = calibrator_ ? "sim+cal" : "sim";
-  } else {
-    const PerfScore s = perf_score_for(p);
-    r.obj.energy_pj = energy_for(p);
-    r.obj.latency_s = s.latency_s;
-    r.obj.pe_utilization = s.pe_utilization;
-    r.obj.dram_bw_headroom = std::max(0.0, 1.0 - s.dram_bw_occupancy);
-    macs = s.macs;
-    r.scored_by = "analytic";
-  }
+  const bool sim = fidelity == EvalBackend::kSim;
+  const Measured m = sim ? measure_sim(p) : measure_analytic(p);
+  r.obj.energy_pj = m.energy_pj;
+  r.obj.latency_s = m.latency_s;
+  r.obj.pe_utilization = m.pe_utilization;
+  r.obj.dram_bw_headroom = std::max(0.0, 1.0 - m.dram_bw_occupancy);
+  r.scored_by = !sim ? "analytic" : calibrator_ ? "sim+cal" : "sim";
   // Effective GMAC/s per mm² of silicon; 0 for a degenerate point rather
   // than inf/NaN (the finiteness gate below would reject those).
   r.obj.throughput_per_area =
       r.obj.latency_s > 0.0 && r.obj.area_um2 > 0.0
-          ? (macs / 1e9 / r.obj.latency_s) / (r.obj.area_um2 / 1e6)
+          ? (m.macs / 1e9 / r.obj.latency_s) / (r.obj.area_um2 / 1e6)
           : 0.0;
   // A NaN objective would make Pareto dominance non-transitive and poison
   // front extraction; reject it at ingestion, where the offending point is
@@ -253,12 +215,12 @@ EvalResult Evaluator::evaluate_point(const DesignPoint& p,
                                      EvalBackend fidelity) {
   APSQ_CHECK_MSG(fidelity != EvalBackend::kMixed,
                  "evaluate_point needs a single-fidelity backend");
-  // Whole-result memo: the fidelity tag keeps one point's analytic and
-  // sim scores as distinct rows — a mixed-pipeline promotion must never
-  // be answered by the analytic prefilter's entry.
-  const std::string key =
-      (fidelity == EvalBackend::kSim ? "s|" : "a|") + canonical_key(p);
-  return score_tt_.lookup_or_compute(key, [&] { return evaluate_at(p, fidelity); });
+  // One table per fidelity, so a promotion is never answered by the
+  // analytic prefilter's entry for the same point.
+  TranspositionTable<EvalResult>& tt =
+      fidelity == EvalBackend::kSim ? sim_tt_ : analytic_tt_;
+  return tt.lookup_or_compute(canonical_key(p),
+                              [&] { return evaluate_at(p, fidelity); });
 }
 
 std::vector<EvalResult> Evaluator::evaluate_points_at(
@@ -281,13 +243,11 @@ EvalResult Evaluator::evaluate(const DesignPoint& p) {
 
 std::vector<EvalResult> Evaluator::evaluate_space(const ConfigSpace& space) {
   space.validate();
-  std::vector<DesignPoint> pts;
   if (opt_.backend == EvalBackend::kMixed) {
-    // Materialize the space once; the mixed pipeline indexes the point
-    // list twice (phase 1 everywhere, phase 2 on the promoted slots).
+    std::vector<DesignPoint> pts;
     pts.reserve(static_cast<size_t>(space.size()));
     for (index_t i = 0; i < space.size(); ++i) pts.push_back(space.at(i));
-    return mixed_sweep(pts);
+    return evaluate_points(pts);
   }
   std::vector<EvalResult> out(static_cast<size_t>(space.size()));
   parallel_for_points(space.size(), [&](index_t i) {
@@ -298,7 +258,17 @@ std::vector<EvalResult> Evaluator::evaluate_space(const ConfigSpace& space) {
 
 std::vector<EvalResult> Evaluator::evaluate_points(
     const std::vector<DesignPoint>& pts) {
-  if (opt_.backend == EvalBackend::kMixed) return mixed_sweep(pts);
+  if (opt_.backend == EvalBackend::kMixed) {
+    PromotionRule rule;
+    rule.adaptive = opt_.promote_adaptive;
+    // A budget is one ∞ rung capped at the N best margins.
+    rule.band = opt_.promote_budget > 0
+                    ? std::numeric_limits<double>::infinity()
+                    : opt_.promote_band;
+    rule.cap = opt_.promote_budget;
+    rule.objectives = opt_.promote_objectives;
+    return promote(pts, rule);
+  }
   std::vector<EvalResult> out(pts.size());
   parallel_for_points(static_cast<index_t>(pts.size()), [&](index_t i) {
     out[static_cast<size_t>(i)] = evaluate(pts[static_cast<size_t>(i)]);
@@ -306,165 +276,90 @@ std::vector<EvalResult> Evaluator::evaluate_points(
   return out;
 }
 
-std::vector<EvalResult> Evaluator::mixed_sweep(
-    const std::vector<DesignPoint>& pts) {
+std::vector<EvalResult> Evaluator::promote(const std::vector<DesignPoint>& pts,
+                                           const PromotionRule& rule) {
+  APSQ_CHECK_MSG(opt_.backend == EvalBackend::kMixed,
+                 "promotion needs the mixed backend");
   using clock = std::chrono::steady_clock;
-  MixedSweepStats stats;
-  stats.total = static_cast<index_t>(pts.size());
-  stats.mode = opt_.promote_adaptive  ? PromoteMode::kAdaptive
-               : opt_.promote_budget > 0 ? PromoteMode::kBudget
-                                         : PromoteMode::kBand;
-  stats.budget = opt_.promote_budget;
-
-  // Phase 1: cheap analytic scores for every point, in parallel on the
-  // shared pool. Deterministic: results land in index-addressed slots.
   const auto t0 = clock::now();
-  std::vector<EvalResult> out(pts.size());
-  parallel_for_points(static_cast<index_t>(pts.size()), [&](index_t i) {
-    out[static_cast<size_t>(i)] =
-        evaluate_point(pts[static_cast<size_t>(i)], EvalBackend::kAnalytic);
-  });
-  stats.phase1_secs = std::chrono::duration<double>(clock::now() - t0).count();
+  SearchStats stats;
+  stats.budget = rule.cap;
+  stats.explored = static_cast<index_t>(pts.size());
+  std::vector<EvalResult> out = evaluate_points_at(pts, EvalBackend::kAnalytic);
 
-  // Phase 2: promotion rounds. Every mode selects per workload — the
-  // workload is a scenario, not a knob, so a point must survive against
-  // its own workload's candidates (every cross-workload front member is
-  // also a per-workload front member, so the global front is covered
-  // too). Selection is pure and key-ordered, hence identical across
-  // thread counts.
-  const auto t1 = clock::now();
-  std::vector<std::string> keys;
-  keys.reserve(pts.size());
-  for (const DesignPoint& p : pts) keys.push_back(canonical_key(p));
-  std::vector<bool> simulated(pts.size(), false);
-  index_t promoted_total = 0;
+  // Ranked margins once, over the analytic scores. From round 0 on, `out`
+  // mixes fidelities as promoted slots acquire calibrated-sim values, and
+  // margins re-derived from those would silently reshape the prefilter
+  // geometry (a sim score landing below its analytic estimate widens its
+  // neighbours' apparent gaps, which could starve true front points a
+  // fixed band over analytic scores would promote). Selection is per
+  // workload — the workload is a scenario, not a knob, and every
+  // cross-workload front member is also a per-workload one. Since the
+  // ranking is margin-ascending with threshold-inclusive entries first,
+  // every rung's in-band set is a prefix of it: a round only advances the
+  // prefix, so successive selections are nested.
+  std::vector<PromotionMargin> ranked =
+      ranked_margins_by_workload(out, rule.objectives);
+  if (rule.cap > 0 && static_cast<size_t>(rule.cap) < ranked.size())
+    ranked.resize(static_cast<size_t>(rule.cap));
+  // Every slot of a configuration is promoted with it (a point list may
+  // repeat one), in slot order; keys are built once per slot.
+  std::unordered_map<std::string, std::vector<index_t>> slots_of;
+  for (size_t i = 0; i < pts.size(); ++i)
+    slots_of[canonical_key(pts[i])].push_back(static_cast<index_t>(i));
 
-  // Re-score every not-yet-simulated slot whose key the selection names
-  // with the calibrated sim, in slot order. The calibrator fits anchor
-  // families lazily, so only promoted (workload, dataflow, psum) families
-  // ever pay for anchor runs — and across adaptive rounds the sim and
-  // calibration memo caches carry everything already paid for, so a round
-  // only simulates its newly promoted points. `r0` is the caller's
-  // selection start time, so rs.secs covers selection + simulation.
-  const auto run_round = [&](double band, clock::time_point r0,
-                             const std::unordered_set<std::string>& selected) {
-    std::vector<index_t> fresh;  // slots to re-score, index order
-    for (size_t i = 0; i < pts.size(); ++i)
-      if (!simulated[i] && selected.count(keys[i])) {
-        simulated[i] = true;
-        fresh.push_back(static_cast<index_t>(i));
-      }
+  size_t selected = 0;
+  double band = rule.band;
+  int stable = 0;
+  std::vector<std::string> prev_front;
+  for (int round = 0;; ++round) {
+    const auto r0 = clock::now();
+    if (rule.adaptive)
+      band = round == 0   ? 0.0
+             : round == 1 ? kAdaptiveStart
+                          : band * kAdaptiveGrowth;
+    std::vector<index_t> fresh;
+    for (; selected < ranked.size() &&
+           (!std::isfinite(band) || ranked[selected].in_band(band));
+         ++selected) {
+      const std::vector<index_t>& slots =
+          slots_of.at(canonical_key(ranked[selected].result.point));
+      fresh.insert(fresh.end(), slots.begin(), slots.end());
+    }
+    std::sort(fresh.begin(), fresh.end());
+    // The calibrator fits anchor families lazily, so only promoted
+    // (workload, dataflow, psum) families ever pay for anchor runs.
     parallel_for_points(static_cast<index_t>(fresh.size()), [&](index_t j) {
-      const index_t i = fresh[static_cast<size_t>(j)];
-      out[static_cast<size_t>(i)] =
-          evaluate_point(pts[static_cast<size_t>(i)], EvalBackend::kSim);
+      const size_t i = static_cast<size_t>(fresh[static_cast<size_t>(j)]);
+      out[i] = evaluate_point(pts[i], EvalBackend::kSim);
     });
-    promoted_total += static_cast<index_t>(fresh.size());
-    MixedRoundStats rs;
-    rs.band = band;
-    rs.promoted_new = static_cast<index_t>(fresh.size());
-    rs.promoted_total = promoted_total;
+    stats.evaluated += static_cast<index_t>(fresh.size());
+
+    SearchRoundStats rs;
+    // A capped ∞ rung records the band its cut bought: the largest
+    // selected margin (the ranking is margin-ascending).
+    rs.band = std::isfinite(band) || rule.cap == 0 ? band
+              : selected > 0 ? ranked[selected - 1].enter_band
+                             : 0.0;
+    rs.candidates = static_cast<index_t>(selected);
+    rs.evaluated_new = static_cast<index_t>(fresh.size());
+    // Keys alone decide front stability: a point's sim score is memoized
+    // and pure, so its objectives are byte-identical in every round.
+    std::vector<std::string> front;
+    for (const EvalResult& f :
+         pareto_front_by_workload(promoted_subset(out), rule.objectives))
+      front.push_back(canonical_key(f.point));
+    rs.front_size = static_cast<index_t>(front.size());
+    rs.front_changed = round == 0 || front != prev_front;
     rs.secs = std::chrono::duration<double>(clock::now() - r0).count();
-    return rs;
-  };
-  const auto keys_of_results = [](const std::vector<EvalResult>& results) {
-    std::unordered_set<std::string> selected;
-    selected.reserve(results.size());
-    for (const EvalResult& r : results) selected.insert(canonical_key(r.point));
-    return selected;
-  };
-  // The promoted front as a key list. Keys alone decide front stability:
-  // a point's sim score is memoized and pure, so its objectives are
-  // byte-identical in every round it appears — the front changes iff its
-  // membership does.
-  const auto front_keys_now = [&] {
-    std::vector<std::string> fk;
-    for (const EvalResult& f : pareto_front_by_workload(
-             promoted_subset(out), opt_.promote_objectives))
-      fk.push_back(canonical_key(f.point));
-    return fk;
-  };
-
-  if (stats.mode == PromoteMode::kBudget) {
-    const auto r0 = clock::now();
-    std::vector<PromotionMargin> ranked =
-        ranked_margins_by_workload(out, opt_.promote_objectives);
-    if (static_cast<size_t>(opt_.promote_budget) < ranked.size())
-      ranked.resize(static_cast<size_t>(opt_.promote_budget));
-    std::unordered_set<std::string> selected;
-    selected.reserve(ranked.size());
-    for (const PromotionMargin& m : ranked)
-      selected.insert(canonical_key(m.result.point));
-    // The effective band the budget bought: the largest selected margin —
-    // the rank order is margin-ascending, so that is the cut's last entry.
-    const double effective_band =
-        ranked.empty() ? 0.0 : ranked.back().enter_band;
-    MixedRoundStats rs = run_round(effective_band, r0, selected);
-    rs.front_size = static_cast<index_t>(front_keys_now().size());
-    rs.front_changed = true;
-    stats.band = effective_band;
+    prev_front = std::move(front);
     stats.rounds.push_back(rs);
-  } else if (stats.mode == PromoteMode::kBand) {
-    const auto r0 = clock::now();
-    MixedRoundStats rs = run_round(
-        opt_.promote_band, r0,
-        keys_of_results(epsilon_band_by_workload(out, opt_.promote_band,
-                                                 opt_.promote_objectives)));
-    rs.front_size = static_cast<index_t>(front_keys_now().size());
-    rs.front_changed = true;
-    stats.band = opt_.promote_band;
-    stats.rounds.push_back(rs);
-  } else {
-    // Adaptive: band ladder 0, start, start·growth, … — round 0 promotes
-    // the analytic front itself, each widening adds its ε-shell. Stop
-    // when the promoted front has been stable for adaptive_stability
-    // consecutive widenings (the front-stability rule), or when every
-    // point is already promoted (wider bands can select nothing new).
-    //
-    // Margins are computed once, over the phase-1 scores `out` still
-    // holds here: from round 0 on, `out` mixes fidelities as promoted
-    // slots acquire calibrated-sim values, and bands re-derived from
-    // those would silently reshape the analytic prefilter geometry (a
-    // sim score landing below its analytic estimate widens its
-    // neighbours' apparent gaps, which could starve true front points
-    // the same band over analytic scores — and the fixed --promote-band
-    // path — would promote). Each round then just thresholds the fixed
-    // margins at its band, so successive selections are nested and the
-    // per-round work is O(n) instead of a fresh front extraction.
-    std::vector<std::pair<std::string, PromotionMargin>> margins;
-    for (PromotionMargin& m :
-         promotion_margins_by_workload(out, opt_.promote_objectives)) {
-      std::string key = canonical_key(m.result.point);
-      margins.emplace_back(std::move(key), std::move(m));
-    }
-    double band = 0.0;
-    int stable = 0;
-    std::vector<std::string> prev_front;
-    for (int round = 0;; ++round) {
-      const auto r0 = clock::now();
-      if (round == 1)
-        band = opt_.adaptive_start;
-      else if (round > 1)
-        band *= opt_.adaptive_growth;
-      std::unordered_set<std::string> selected;
-      for (const auto& [key, margin] : margins)
-        if (margin.in_band(band)) selected.insert(key);
-      MixedRoundStats rs = run_round(band, r0, selected);
-      std::vector<std::string> front = front_keys_now();
-      rs.front_size = static_cast<index_t>(front.size());
-      rs.front_changed = round == 0 || front != prev_front;
-      prev_front = std::move(front);
-      stats.rounds.push_back(rs);
-      if (promoted_total == stats.total) break;
-      if (round > 0) stable = rs.front_changed ? 0 : stable + 1;
-      if (stable >= opt_.adaptive_stability) break;
-    }
-    stats.band = band;
+    if (!rule.adaptive || selected == ranked.size()) break;
+    if (round > 0) stable = rs.front_changed ? 0 : stable + 1;
+    if (stable >= kAdaptiveStability) break;
   }
-
-  stats.promoted = promoted_total;
-  stats.phase2_secs = std::chrono::duration<double>(clock::now() - t1).count();
-  mixed_stats_ = stats;
+  stats.secs = std::chrono::duration<double>(clock::now() - t0).count();
+  promotion_stats_ = std::move(stats);
   return out;
 }
 
@@ -485,15 +380,20 @@ void Evaluator::parallel_for_points(
   }
 }
 
-CacheStats Evaluator::energy_cache_stats() const { return energy_tt_.stats(); }
+CacheStats Evaluator::energy_cache_stats() const {
+  return analytic_tt_.stats();
+}
+CacheStats Evaluator::latency_cache_stats() const {
+  return analytic_tt_.stats();
+}
+CacheStats Evaluator::sim_cache_stats() const { return sim_tt_.stats(); }
 CacheStats Evaluator::area_cache_stats() const { return area_tt_.stats(); }
 CacheStats Evaluator::accuracy_cache_stats() const {
   return accuracy_tt_.stats();
 }
-CacheStats Evaluator::latency_cache_stats() const {
-  return latency_tt_.stats();
+CacheStats Evaluator::score_tt_stats() const {
+  const CacheStats a = analytic_tt_.stats(), s = sim_tt_.stats();
+  return CacheStats{a.hits + s.hits, a.misses + s.misses, a.races + s.races};
 }
-CacheStats Evaluator::sim_cache_stats() const { return sim_tt_.stats(); }
-CacheStats Evaluator::score_tt_stats() const { return score_tt_.stats(); }
 
 }  // namespace apsq::dse

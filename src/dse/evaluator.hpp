@@ -19,34 +19,36 @@
 //              with `calibrate` set, a dse::Calibrator (calibrate.hpp)
 //              rescales the measured components into the analytic
 //              backend's absolute units, so the two backends' fronts mix.
-//   mixed    — multi-fidelity: phase 1 scores the whole space with the
-//              analytic backend, phase 2 promotes near-front points to
-//              the *calibrated* sim backend and re-scores only those.
-//              Three promotion rules share one ranked-margin primitive
-//              (dse/pareto): a fixed ε-dominance band (promote_band), an
-//              adaptive band that widens geometrically until the promoted
-//              front is stable for K consecutive rounds (promote_adaptive
-//              — the front-stability stopping rule), and a hard budget of
-//              the N best points by ε-dominance margin (promote_budget).
-//              Each result records its provenance in
-//              EvalResult::scored_by; the front is then extracted over
+//   mixed    — multi-fidelity: the analytic backend scores every point,
+//              then the promotion engine (promote()) re-scores near-front
+//              points with the *calibrated* sim backend. One loop over
+//              one ranked-margin primitive (dse/pareto) serves four rules:
+//              a fixed ε-dominance band is one rung (promote_band); the
+//              adaptive ladder widens the band geometrically until the
+//              promoted front is stable (promote_adaptive — the
+//              front-stability stopping rule); a budget is one ∞ rung
+//              capped at the N best points by margin (promote_budget); and
+//              the halving search (dse/search) is the adaptive ladder
+//              capped at its budget. Each result records its provenance
+//              in EvalResult::scored_by; the front is then extracted over
 //              the promoted (uniform-fidelity) subset. This buys sim
 //              fidelity where it matters — on and near the front — at a
 //              small multiple of the analytic sweep's cost.
 //
-// Sub-evaluations are memoized independently under canonical sub-keys.
-// Area depends only on the accelerator geometry and the accuracy proxy
-// only on (workload, psum, pci), so a cartesian sweep reuses the
-// overwhelming majority of those two; energy/latency depend on every field
-// of the point, so their caches pay off for repeated evaluations of the
-// same point (re-runs, overlapping spaces), not within one cartesian
-// sweep. All scoring functions are pure, every worker derives its
-// randomness per work item via Rng::stream, and results land in
-// index-addressed slots, so a parallel sweep is byte-identical to a serial
-// one. Parallel evaluation runs on the process-wide
-// WorkStealingPool::shared(): the point-level loop and run_workload's
-// layer-level loop submit into the same pool (nested scopes compose), so
-// sim-backed sweeps parallelize at both levels without oversubscribing.
+// Memoization: every score is cached whole, once per fidelity, under the
+// point's canonical key, so a re-run, an overlapping space or a promotion
+// round never pays for a point twice. Below that, only the two
+// sub-evaluations whose keys really are shared across points have their
+// own tables: area depends only on the accelerator geometry and the
+// accuracy proxy only on (workload, psum, pci), so a cartesian sweep
+// reuses the overwhelming majority of both. All scoring functions are
+// pure, every worker derives its randomness per work item via
+// Rng::stream, and results land in index-addressed slots, so a parallel
+// sweep is byte-identical to a serial one. Parallel evaluation runs on the
+// process-wide WorkStealingPool::shared(): the point-level loop and
+// run_workload's layer-level loop submit into the same pool (nested scopes
+// compose), so sim-backed sweeps parallelize at both levels without
+// oversubscribing.
 #pragma once
 
 #include <functional>
@@ -75,46 +77,60 @@ const char* to_string(EvalBackend b);
 /// Parse "analytic" | "sim" | "mixed"; throws on anything else.
 EvalBackend parse_backend(const std::string& name);
 
-/// How the mixed backend selects the analytic points phase 2 promotes to
-/// the calibrated simulator.
-enum class PromoteMode {
-  kBand,      ///< fixed ε-dominance slack (promote_band)
-  kAdaptive,  ///< widen the band geometrically until the sim front is stable
-  kBudget,    ///< the promote_budget best points by ε-dominance margin
-};
+/// The adaptive promotion ladder: rungs 0, kAdaptiveStart,
+/// kAdaptiveStart·kAdaptiveGrowth, …, stopping once the promoted front is
+/// unchanged for kAdaptiveStability consecutive widenings. The evolve
+/// search reuses the same stability count for its generations.
+inline constexpr double kAdaptiveStart = 0.0125;
+inline constexpr double kAdaptiveGrowth = 2.0;
+inline constexpr int kAdaptiveStability = 2;
 
-const char* to_string(PromoteMode m);
-
-/// One promotion round of a mixed sweep. A fixed-band or budget sweep has
-/// exactly one; an adaptive sweep has one per band widening, so the
-/// per-round counts show where the simulation time went and when the
-/// front-stability rule fired.
-struct MixedRoundStats {
-  /// The ε slack this round promoted at. Budget mode records the largest
-  /// selected margin — the fixed band the budget turned out to buy.
+/// One round of a promotion ladder (one band rung) or of an evolve search
+/// (one generation). The per-round counts show where the simulation time
+/// went and when the front-stability rule fired.
+struct SearchRoundStats {
+  /// Promotion only: the ε slack this round promoted at. A capped ∞ rung
+  /// (a promotion budget) records the largest margin of its cut — the
+  /// fixed band the budget turned out to buy.
   double band = 0.0;
-  index_t promoted_new = 0;    ///< points first simulated this round
-  index_t promoted_total = 0;  ///< cumulative sim-scored points
-  index_t front_size = 0;      ///< promoted-front size after this round
+  /// Points the round considered; for promotion, the configurations
+  /// selected so far (the ladder's selections are nested).
+  index_t candidates = 0;
+  index_t evaluated_new = 0;  ///< evaluations charged this round
+  index_t front_size = 0;
   bool front_changed = false;  ///< did this round's front differ from the last?
-  double secs = 0.0;           ///< selection + simulation wall time
+  double secs = 0.0;           ///< selection + evaluation wall time
 };
 
-/// Per-phase accounting of the last mixed-fidelity sweep: how many points
-/// the analytic prefilter scored, how many the promotion rule handed to
-/// the calibrated simulator (and in which rounds), and the wall time each
-/// phase took.
-struct MixedSweepStats {
-  index_t total = 0;     ///< points in the sweep (phase-1 evaluations)
-  index_t promoted = 0;  ///< points re-scored by the sim (phase-2 evaluations)
-  PromoteMode mode = PromoteMode::kBand;
-  /// The final ε slack: the fixed band, the adaptive stopping band, or the
-  /// effective band a budget bought (its largest selected margin).
-  double band = 0.0;
-  index_t budget = 0;  ///< budget mode only: the requested N
-  std::vector<MixedRoundStats> rounds;
-  double phase1_secs = 0.0;
-  double phase2_secs = 0.0;
+/// Accounting of one promotion ladder (a mixed sweep or a halving search)
+/// or one evolve search.
+struct SearchStats {
+  /// The evaluation cap: the promotion budget or search budget (0 = none).
+  i64 budget = 0;
+  index_t explored = 0;   ///< analytic exploration evaluations (promotion only)
+  index_t evaluated = 0;  ///< evaluations at the scoring fidelity (<= budget)
+  std::vector<SearchRoundStats> rounds;
+  double secs = 0.0;
+
+  /// Wall time of the rounds; the rest of `secs` is exploration.
+  double rounds_secs() const {
+    double t = 0.0;
+    for (const SearchRoundStats& rs : rounds) t += rs.secs;
+    return t;
+  }
+};
+
+/// What one run of the promotion engine selects (see Evaluator::promote).
+/// The four rules are all instances: a fixed band is one rung at `band`;
+/// adaptive climbs the ladder; a promotion budget is one ∞ rung capped at
+/// `cap`; a halving search is the adaptive ladder capped at its budget.
+struct PromotionRule {
+  bool adaptive = false;  ///< climb the adaptive ladder instead of one rung
+  double band = 0.0;      ///< the single rung; non-finite selects everything
+  /// Promote at most this many distinct configurations, best ranked
+  /// margin first (0 = uncapped).
+  index_t cap = 0;
+  ObjectiveSet objectives = ObjectiveSet::core();  ///< the margin plane
 };
 
 struct EvaluatorOptions {
@@ -134,28 +150,24 @@ struct EvaluatorOptions {
   WorkloadRunOptions sim;
   /// Sim backend only: rescale measured energies/latencies into the
   /// analytic backend's absolute units via dse::Calibrator. The mixed
-  /// backend forces this on — phase-2 sim scores must be comparable with
-  /// the phase-1 analytic scores they sit next to.
+  /// backend forces this on — promoted sim scores must be comparable with
+  /// the analytic scores they sit next to.
   bool calibrate = false;
   /// Mixed backend: relative ε-dominance slack selecting which analytic
-  /// points phase 2 promotes to the calibrated simulator (see
+  /// points the fixed-band rule promotes to the calibrated simulator (see
   /// epsilon_band in dse/pareto.hpp). 0 promotes the analytic front only;
   /// a non-finite band promotes everything (degenerates to --backend sim
   /// --calibrate). Ignored when promote_adaptive or promote_budget is set.
   double promote_band = 0.05;
   /// Mixed backend: adaptive promotion (the front-stability stopping
-  /// rule). Phase 2 starts from the analytic front (band 0), then widens
-  /// the band geometrically — adaptive_start, ·growth, ·growth², … —
-  /// re-simulating only the newly promoted points each round (the sim and
-  /// calibration memo caches carry everything already paid for) and
-  /// re-extracting the promoted front. It stops once the front is
-  /// unchanged for adaptive_stability consecutive widenings, or when
-  /// every point is promoted. Replaces the hand-tuned fixed band with a
-  /// rule that spends simulation only while it still moves the answer.
+  /// rule). Climbs the band ladder 0, kAdaptiveStart, ×kAdaptiveGrowth, …,
+  /// re-simulating only the newly promoted points each round (the sim
+  /// memo carries everything already paid for), and stops once the
+  /// promoted front is unchanged for kAdaptiveStability consecutive
+  /// widenings or every point is promoted. Replaces the hand-tuned fixed
+  /// band with a rule that spends simulation only while it still moves
+  /// the answer.
   bool promote_adaptive = false;
-  double adaptive_start = 0.0125;  ///< first non-zero band in the ladder
-  double adaptive_growth = 2.0;    ///< band multiplier per widening (> 1)
-  int adaptive_stability = 2;      ///< unchanged-front rounds before stopping
   /// Mixed backend: promote exactly this many *distinct configurations* —
   /// the best by ε-dominance margin (best_by_margin in dse/pareto.hpp) —
   /// instead of a band. 0 disables budget mode; a budget >= the space
@@ -163,7 +175,7 @@ struct EvaluatorOptions {
   /// evaluated point list repeats a configuration, every duplicate slot
   /// of a selected one is re-scored — they must agree in fidelity, and
   /// the sim memo makes the repeats free — so the slot counts in
-  /// MixedSweepStats can exceed the budget by the number of selected
+  /// promotion_stats() can exceed the budget by the number of selected
   /// duplicates. Mutually exclusive with promote_adaptive.
   index_t promote_budget = 0;
   /// Sim backend with calibrate: fit latency/energy factors per
@@ -190,9 +202,9 @@ class Evaluator {
 
   /// The point-at-a-time scoring oracle: score one point at an explicit
   /// single-fidelity backend (kAnalytic or kSim — never kMixed), memoized
-  /// whole-result in the shared transposition table under the point's
-  /// canonical key + fidelity tag. Thread-safe and pure, so parallel
-  /// search workers hitting overlapping points pay each score once.
+  /// whole-result in that fidelity's transposition table under the
+  /// point's canonical key. Thread-safe and pure, so parallel search
+  /// workers hitting overlapping points pay each score once.
   EvalResult evaluate_point(const DesignPoint& p, EvalBackend fidelity);
 
   /// Batch flavour of evaluate_point: every point at the same explicit
@@ -217,17 +229,37 @@ class Evaluator {
   /// Score an explicit point list (same determinism guarantees).
   std::vector<EvalResult> evaluate_points(const std::vector<DesignPoint>& pts);
 
+  /// The promotion engine — the one loop behind both the mixed backend's
+  /// sweeps and the halving search. Scores every point analytically,
+  /// ranks the deduped configurations by per-workload ε-dominance margin
+  /// over those analytic scores (computed once, so every rung thresholds
+  /// the same fixed analytic geometry and successive selections are
+  /// nested), truncates the ranking at `rule.cap`, then climbs the band
+  /// rungs: each round re-scores the newly selected slots with the
+  /// calibrated simulator, in slot order, and re-extracts the promoted
+  /// per-workload front. An adaptive ladder stops once every ranked
+  /// configuration is promoted or the front is unchanged for
+  /// kAdaptiveStability widenings. Selection is pure and key-ordered, so
+  /// the trajectory is identical at every thread count. Records the run
+  /// in promotion_stats().
+  std::vector<EvalResult> promote(const std::vector<DesignPoint>& pts,
+                                  const PromotionRule& rule);
+
+  /// Ladder accounting of the most recent promote() call — a mixed-backend
+  /// evaluate_space / evaluate_points or a halving search (all-zero before
+  /// the first one).
+  const SearchStats& promotion_stats() const { return promotion_stats_; }
+
+  /// The analytic whole-result table: energy and latency are both parts
+  /// of the one analytic score, so these two report the same counters.
   CacheStats energy_cache_stats() const;
+  CacheStats latency_cache_stats() const;
+  /// The sim whole-result table; misses count distinct simulator runs.
+  CacheStats sim_cache_stats() const;
   CacheStats area_cache_stats() const;
   CacheStats accuracy_cache_stats() const;
-  CacheStats latency_cache_stats() const;
-  CacheStats sim_cache_stats() const;
-  /// Whole-result oracle table (evaluate_point) counters.
+  /// Both whole-result tables (evaluate_point) summed.
   CacheStats score_tt_stats() const;
-
-  /// Phase accounting of the most recent mixed-backend evaluate_space /
-  /// evaluate_points call (all-zero before the first one).
-  const MixedSweepStats& mixed_stats() const { return mixed_stats_; }
 
   const EvaluatorOptions& options() const { return opt_; }
 
@@ -241,10 +273,10 @@ class Evaluator {
   static const Workload& workload(const std::string& name);
 
  private:
-  /// Scalars of one simulated (scaled) workload run: the energy/latency
-  /// pair plus the telemetry-derived objective inputs. Cached per point,
-  /// so every objective a mixed sweep compares is pure and memoized.
-  struct SimScore {
+  /// The performance-derived inputs of one point's objectives at one
+  /// fidelity. The sim flavour measures the scaled proxy workload and,
+  /// with a calibrator, lifts it into the analytic backend's units.
+  struct Measured {
     double energy_pj = 0.0;
     double latency_s = 0.0;
     double pe_utilization = 0.0;     ///< MAC-weighted mean (dimensionless)
@@ -252,41 +284,26 @@ class Evaluator {
     double macs = 0.0;               ///< full-scale useful MACs
   };
 
-  /// Analytic performance scalars of one point (the latency objective and
-  /// the telemetry-derived objective inputs), one cache entry per point.
-  struct PerfScore {
-    double latency_s = 0.0;
-    double pe_utilization = 0.0;
-    double dram_bw_occupancy = 0.0;
-    double macs = 0.0;
-  };
-
-  double energy_for(const DesignPoint& p);
   double area_for(const DesignPoint& p);
   double error_for(const DesignPoint& p);
-  PerfScore perf_score_for(const DesignPoint& p);
-  SimScore sim_score_for(const DesignPoint& p);
+  Measured measure_analytic(const DesignPoint& p) const;
+  Measured measure_sim(const DesignPoint& p);
   /// Score one point at an explicit single-fidelity backend (kAnalytic or
-  /// kSim — never kMixed). The building block both the single-backend
-  /// paths and the two mixed phases go through.
+  /// kSim — never kMixed), unmemoized. evaluate_point memoizes it.
   EvalResult evaluate_at(const DesignPoint& p, EvalBackend fidelity);
-  /// The two-phase mixed-fidelity pipeline over an explicit point list;
-  /// records mixed_stats_.
-  std::vector<EvalResult> mixed_sweep(const std::vector<DesignPoint>& pts);
   /// Index loop over points: inline when threads == 1, on the shared pool
   /// otherwise.
   void parallel_for_points(index_t n, const std::function<void(index_t)>& fn);
 
   EvaluatorOptions opt_;
-  MixedSweepStats mixed_stats_;
-  // Every memo is one sharded TranspositionTable (dse/tt.hpp): the
-  // sub-evaluation tables below plus the whole-result oracle table.
-  TranspositionTable<double> energy_tt_;
+  SearchStats promotion_stats_;
+  // Every memo is one sharded TranspositionTable (dse/tt.hpp): one
+  // whole-result table per fidelity, keyed by canonical_key, plus the two
+  // sub-evaluations whose keys really are shared across points.
+  TranspositionTable<EvalResult> analytic_tt_;
+  TranspositionTable<EvalResult> sim_tt_;
   TranspositionTable<double> area_tt_;
   TranspositionTable<double> accuracy_tt_;
-  TranspositionTable<PerfScore> latency_tt_;
-  TranspositionTable<SimScore> sim_tt_;
-  TranspositionTable<EvalResult> score_tt_;
   std::unique_ptr<Calibrator> calibrator_;  ///< sim/mixed + calibrate only
 };
 

@@ -4,7 +4,6 @@
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
@@ -85,7 +84,6 @@ std::vector<index_t> SearchDriver::stratified_sample(index_t n, index_t count,
 std::map<index_t, EvalResult> SearchDriver::run() {
   const auto t0 = clock_t_::now();
   stats_ = SearchStats{};
-  stats_.strategy = opt_.strategy;
   stats_.budget = opt_.budget;
   std::map<index_t, EvalResult> rows = opt_.strategy == SearchStrategy::kHalving
                                            ? run_halving()
@@ -111,78 +109,14 @@ std::map<index_t, EvalResult> SearchDriver::run_halving() {
   pts.reserve(indices.size());
   for (index_t i : indices) pts.push_back(space_.at(i));
 
-  // Exploration: analytic scores for the whole sample (rides free of the
-  // budget, which pays only for sim promotions).
-  std::vector<EvalResult> out =
-      eval_.evaluate_points_at(pts, EvalBackend::kAnalytic);
-  stats_.explored = static_cast<index_t>(out.size());
-
-  // Margins once, over the analytic scores (the same
-  // fixed-analytic-geometry rule as the adaptive mixed sweep — see the
-  // rationale in Evaluator::mixed_sweep). The budget then admits the
-  // best-margin `budget` keys; each ladder round promotes the in-band
-  // subset of that admitted set, so an unconstraining budget replicates
-  // the adaptive trajectory exactly.
-  std::vector<std::pair<std::string, PromotionMargin>> margins;
-  for (PromotionMargin& m :
-       promotion_margins_by_workload(out, opt_.objectives)) {
-    std::string key = canonical_key(m.result.point);
-    margins.emplace_back(std::move(key), std::move(m));
-  }
-  std::vector<PromotionMargin> ranked =
-      ranked_margins_by_workload(out, opt_.objectives);
-  if (static_cast<size_t>(opt_.budget) < ranked.size())
-    ranked.resize(static_cast<size_t>(opt_.budget));
-  std::unordered_set<std::string> allowed;
-  allowed.reserve(ranked.size());
-  for (const PromotionMargin& m : ranked)
-    allowed.insert(canonical_key(m.result.point));
-
-  std::vector<bool> simulated(out.size(), false);
-  index_t promoted_total = 0;
-  double band = 0.0;
-  int stable = 0;
-  std::vector<std::string> prev_front;
-  for (int round = 0;; ++round) {
-    const auto r0 = clock_t_::now();
-    if (round == 1)
-      band = opt_.adaptive_start;
-    else if (round > 1)
-      band *= opt_.adaptive_growth;
-    std::unordered_set<std::string> selected;
-    for (const auto& [key, margin] : margins)
-      if (margin.in_band(band) && allowed.count(key)) selected.insert(key);
-    std::vector<index_t> fresh;  // sample slots to re-score, slot order
-    for (size_t i = 0; i < out.size(); ++i)
-      if (!simulated[i] && selected.count(canonical_key(out[i].point))) {
-        simulated[i] = true;
-        fresh.push_back(static_cast<index_t>(i));
-      }
-    std::vector<DesignPoint> promote;
-    promote.reserve(fresh.size());
-    for (index_t i : fresh) promote.push_back(pts[static_cast<size_t>(i)]);
-    const std::vector<EvalResult> sim =
-        eval_.evaluate_points_at(promote, EvalBackend::kSim);
-    for (size_t j = 0; j < fresh.size(); ++j)
-      out[static_cast<size_t>(fresh[j])] = sim[j];
-    promoted_total += static_cast<index_t>(fresh.size());
-
-    SearchRoundStats rs;
-    rs.band = band;
-    rs.candidates = static_cast<index_t>(selected.size());
-    rs.evaluated_new = static_cast<index_t>(fresh.size());
-    std::vector<std::string> front =
-        front_keys(promoted_subset(out), opt_.objectives);
-    rs.front_size = static_cast<index_t>(front.size());
-    rs.front_changed = round == 0 || front != prev_front;
-    rs.secs = secs_since(r0);
-    prev_front = std::move(front);
-    stats_.rounds.push_back(rs);
-    if (promoted_total >= static_cast<index_t>(allowed.size())) break;
-    if (round > 0) stable = rs.front_changed ? 0 : stable + 1;
-    if (stable >= opt_.adaptive_stability) break;
-  }
-  stats_.evaluated = promoted_total;
+  // Analytic exploration rides free of the budget, which pays only for
+  // sim promotions: the adaptive ladder capped at the budget.
+  PromotionRule rule;
+  rule.adaptive = true;
+  rule.cap = opt_.budget;
+  rule.objectives = opt_.objectives;
+  std::vector<EvalResult> out = eval_.promote(pts, rule);
+  stats_ = eval_.promotion_stats();
 
   std::map<index_t, EvalResult> rows;
   for (size_t i = 0; i < indices.size(); ++i)
@@ -306,7 +240,7 @@ std::map<index_t, EvalResult> SearchDriver::run_evolve() {
     prev_front = std::move(front);
     stats_.rounds.push_back(rs);
     stable = rs.front_changed ? 0 : stable + 1;
-    if (stable >= opt_.adaptive_stability) break;
+    if (stable >= kAdaptiveStability) break;
   }
   return archive;
 }

@@ -7,17 +7,15 @@
 // pay a score twice):
 //
 //   halving — successive halving over analytic fidelity with
-//             calibrated-sim promotion (mixed backend only). An analytic
-//             exploration pass scores a deterministic stratified sample
-//             (the whole space when it fits the exploration cap), then
-//             the adaptive ε-dominance-band ladder of the mixed sweep
-//             (promotion_margins, front-stability stopping) promotes
-//             near-front points to the calibrated simulator — except the
-//             promotion set is capped at `budget` points, best
-//             ranked-margin first. With a budget at least as large as the
-//             ladder's natural promotion count, the trajectory — and the
-//             front — is byte-identical to the exhaustive adaptive mixed
-//             sweep's.
+//             calibrated-sim promotion (mixed backend only). It draws a
+//             deterministic stratified sample (the whole space when it
+//             fits the exploration cap) and hands it to the mixed
+//             backend's promotion engine (Evaluator::promote) as the
+//             adaptive ladder capped at `budget` points, best
+//             ranked-margin first. The mixed sweep runs the same loop, so
+//             with a budget at least as large as the ladder's natural
+//             promotion count the trajectory — and the front — is
+//             byte-identical to the exhaustive adaptive mixed sweep's.
 //   evolve  — seeded evolutionary / local search at a single fidelity
 //             (analytic or sim backend). A stratified seed batch, then
 //             rounds of ±1-step neighbours of the current per-workload
@@ -66,30 +64,6 @@ struct SearchOptions {
   /// measured in. Should match the objectives the caller extracts fronts
   /// over.
   ObjectiveSet objectives = ObjectiveSet::core();
-  // Halving band ladder — the same constants as the adaptive mixed sweep
-  // (EvaluatorOptions), so an unconstraining budget reproduces it.
-  double adaptive_start = 0.0125;
-  double adaptive_growth = 2.0;
-  int adaptive_stability = 2;
-};
-
-/// One search round (halving: one band widening; evolve: one generation).
-struct SearchRoundStats {
-  double band = 0.0;        ///< halving only: the ε slack promoted at
-  index_t candidates = 0;   ///< points the round considered
-  index_t evaluated_new = 0;  ///< budget-charged evaluations this round
-  index_t front_size = 0;
-  bool front_changed = false;
-  double secs = 0.0;
-};
-
-struct SearchStats {
-  SearchStrategy strategy = SearchStrategy::kHalving;
-  i64 budget = 0;
-  index_t explored = 0;   ///< halving: analytic exploration evaluations
-  index_t evaluated = 0;  ///< budget-charged evaluations (<= budget)
-  std::vector<SearchRoundStats> rounds;
-  double secs = 0.0;
 };
 
 class SearchDriver {

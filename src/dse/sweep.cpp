@@ -99,7 +99,17 @@ bool SweepConfig::validate(std::ostream& err) const {
                        err) &&
          flag_requires(calibrate_per_class, "--calibrate-per-class",
                        calibrate || mixed(), "--calibrate or --backend mixed",
-                       err);
+                       err) &&
+         // A search promotes by its own rule (halving: the adaptive ladder
+         // capped at --budget), so a sweep's promotion rule would be
+         // silently ignored there. Checked last, so every config the
+         // rules above reject keeps its message.
+         flag_requires(promote_band_set, "--promote-band", !search(),
+                       "--mode sweep", err) &&
+         flag_requires(promote_adaptive, "--promote-adaptive", !search(),
+                       "--mode sweep", err) &&
+         flag_requires(promote_budget_set, "--promote-budget", !search(),
+                       "--mode sweep", err);
 }
 
 ConfigSpace SweepConfig::make_space() const {
@@ -529,13 +539,13 @@ StatsWriter SweepSession::stats_writer(const SweepOutcome& out) const {
   if (eval_->calibrator())
     put("calibration_families", eval_->calibrator()->family_count());
   if (cfg_.mixed() && !cfg_.search()) {
-    const MixedSweepStats& ms = eval_->mixed_stats();
-    put("mixed_total", ms.total);
-    put("mixed_promoted", ms.promoted);
-    put("mixed_band", ms.band);
-    put("mixed_phase1_secs", ms.phase1_secs);
-    put("mixed_phase2_secs", ms.phase2_secs);
-    put("mixed_rounds", static_cast<i64>(ms.rounds.size()));
+    const SearchStats& ps = eval_->promotion_stats();
+    put("mixed_total", ps.explored);
+    put("mixed_promoted", ps.evaluated);
+    put("mixed_band", ps.rounds.empty() ? 0.0 : ps.rounds.back().band);
+    put("mixed_phase1_secs", ps.secs - ps.rounds_secs());
+    put("mixed_phase2_secs", ps.rounds_secs());
+    put("mixed_rounds", static_cast<i64>(ps.rounds.size()));
   }
   if (cfg_.search()) {
     put("search_strategy", std::string(to_string(cfg_.effective_strategy())));

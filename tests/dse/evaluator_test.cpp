@@ -52,14 +52,18 @@ TEST(Evaluator, RepeatedEvaluationHitsTheCacheAndMatches) {
   const EvalResult a = eval.evaluate(p);
   EXPECT_EQ(eval.score_tt_stats().misses, 1);
   EXPECT_EQ(eval.score_tt_stats().hits, 0);
+  // The analytic whole-result table is the one energy/latency report.
   EXPECT_EQ(eval.energy_cache_stats().misses, 1);
+  EXPECT_EQ(eval.sim_cache_stats().lookups(), 0);
 
   const EvalResult b = eval.evaluate(p);
   // The repeat is a whole-result transposition-table hit — the sub-caches
   // are never consulted again.
   EXPECT_EQ(eval.score_tt_stats().misses, 1);
   EXPECT_EQ(eval.score_tt_stats().hits, 1);
-  EXPECT_EQ(eval.energy_cache_stats().lookups(), 1);
+  EXPECT_EQ(eval.energy_cache_stats().hits, 1);
+  EXPECT_EQ(eval.area_cache_stats().lookups(), 1);
+  EXPECT_EQ(eval.accuracy_cache_stats().lookups(), 1);
 
   // Bit-identical, not just close.
   EXPECT_EQ(a.obj.energy_pj, b.obj.energy_pj);
@@ -78,7 +82,9 @@ TEST(Evaluator, SubEvaluationCachesShareAcrossPoints) {
   eval.evaluate(b);
   EXPECT_EQ(eval.area_cache_stats().hits, 1);
   EXPECT_EQ(eval.accuracy_cache_stats().hits, 1);
-  EXPECT_EQ(eval.energy_cache_stats().hits, 0);  // energy depends on dataflow
+  // The whole-result score depends on dataflow: two distinct entries.
+  EXPECT_EQ(eval.energy_cache_stats().hits, 0);
+  EXPECT_EQ(eval.energy_cache_stats().misses, 2);
 }
 
 TEST(Evaluator, ParallelEqualsSerialByteIdentical) {
@@ -103,8 +109,8 @@ TEST(Evaluator, ParallelEqualsSerialByteIdentical) {
 TEST(Evaluator, CacheStatsReconcileWithLookups) {
   // hits + misses + races must equal the lookup count for any schedule —
   // the races counter absorbs duplicate computes under contention. The
-  // whole-result score TT fronts the sub-caches, so the warm re-run is
-  // pure score-TT hits and never reaches them.
+  // whole-result tables front the sub-caches, so the warm re-run is pure
+  // score-TT hits and never reaches them.
   const ConfigSpace space = ConfigSpace::smoke();
   EvaluatorOptions opt;
   opt.threads = 4;
@@ -118,13 +124,18 @@ TEST(Evaluator, CacheStatsReconcileWithLookups) {
   // first-run computes, and the warm run added pure hits.
   EXPECT_EQ(ss.misses + ss.races, cold);
   EXPECT_EQ(ss.hits, cold);
+  // An analytic sweep uses only the analytic table, which energy and
+  // latency both report: the score counters exactly.
+  for (const CacheStats& a :
+       {eval.energy_cache_stats(), eval.latency_cache_stats()}) {
+    EXPECT_EQ(a.lookups(), 2 * cold);
+    EXPECT_EQ(a.misses + a.races, cold);  // all smoke keys are distinct
+    EXPECT_EQ(a.hits, cold);
+  }
+  EXPECT_EQ(eval.sim_cache_stats().lookups(), 0);
   // The sub-caches saw exactly the cold computes, once each.
-  EXPECT_EQ(eval.energy_cache_stats().lookups(), cold);
   EXPECT_EQ(eval.area_cache_stats().lookups(), cold);
   EXPECT_EQ(eval.accuracy_cache_stats().lookups(), cold);
-  EXPECT_EQ(eval.latency_cache_stats().lookups(), cold);
-  const CacheStats es = eval.energy_cache_stats();
-  EXPECT_EQ(es.misses + es.races, cold);  // all smoke keys are distinct
 }
 
 TEST(Evaluator, RepeatedCallsReuseThePersistentPool) {

@@ -55,10 +55,11 @@ TEST(MixedSweep, ProvenancePartitionsTheResults) {
     else
       FAIL() << "unexpected provenance '" << r.scored_by << "'";
   }
-  const MixedSweepStats& ms = eval.mixed_stats();
-  EXPECT_EQ(ms.total, space.size());
-  EXPECT_EQ(ms.promoted, sim_cal);
-  EXPECT_EQ(ms.band, 0.0);
+  const SearchStats& ps = eval.promotion_stats();
+  EXPECT_EQ(ps.explored, space.size());
+  EXPECT_EQ(ps.evaluated, sim_cal);
+  ASSERT_EQ(ps.rounds.size(), 1u);
+  EXPECT_EQ(ps.rounds.back().band, 0.0);
   EXPECT_EQ(analytic + sim_cal, space.size());
   EXPECT_GT(sim_cal, 0);  // the front itself is always promoted
   EXPECT_EQ(static_cast<size_t>(sim_cal), promoted_subset(results).size());
@@ -112,7 +113,7 @@ TEST(MixedSweep, InfiniteBandReproducesThePureSimFront) {
   const ConfigSpace space = ConfigSpace::smoke();
   Evaluator mixed(mixed_opt(1, std::numeric_limits<double>::infinity()));
   const std::vector<EvalResult> mres = mixed.evaluate_space(space);
-  EXPECT_EQ(mixed.mixed_stats().promoted, space.size());
+  EXPECT_EQ(mixed.promotion_stats().evaluated, space.size());
 
   Evaluator pure(pure_sim_opt(1));
   const std::vector<EvalResult> sres = pure.evaluate_space(space);
@@ -136,7 +137,8 @@ TEST(MixedSweep, ParallelEqualsSerialByteIdentical) {
     EXPECT_EQ(serial_csv,
               results_csv(parallel.evaluate_space(space), "mixed").to_string())
         << "threads=" << threads;
-    EXPECT_EQ(parallel.mixed_stats().promoted, serial.mixed_stats().promoted);
+    EXPECT_EQ(parallel.promotion_stats().evaluated,
+              serial.promotion_stats().evaluated);
   }
 }
 
@@ -192,43 +194,42 @@ TEST(MixedSweep, AdaptiveStopsWhenTheFrontIsStableAndAccountsEveryRound) {
   opt.promote_adaptive = true;
   Evaluator eval(opt);
   const std::vector<EvalResult> results = eval.evaluate_space(space);
-  const MixedSweepStats& ms = eval.mixed_stats();
-  EXPECT_EQ(ms.mode, PromoteMode::kAdaptive);
-  ASSERT_GE(ms.rounds.size(), 1u);
+  const SearchStats& ps = eval.promotion_stats();
+  EXPECT_EQ(ps.budget, 0);  // the uncapped ladder
+  ASSERT_GE(ps.rounds.size(), 1u);
 
   // Round 0 promotes the analytic front at band 0; each widening
-  // multiplies the band by adaptive_growth exactly.
-  EXPECT_EQ(ms.rounds[0].band, 0.0);
-  if (ms.rounds.size() > 1) {
-    EXPECT_EQ(ms.rounds[1].band, opt.adaptive_start);
+  // multiplies the band by kAdaptiveGrowth exactly.
+  EXPECT_EQ(ps.rounds[0].band, 0.0);
+  if (ps.rounds.size() > 1) {
+    EXPECT_EQ(ps.rounds[1].band, kAdaptiveStart);
   }
-  for (size_t r = 2; r < ms.rounds.size(); ++r)
-    EXPECT_EQ(ms.rounds[r].band,
-              ms.rounds[r - 1].band * opt.adaptive_growth);
+  for (size_t r = 2; r < ps.rounds.size(); ++r)
+    EXPECT_EQ(ps.rounds[r].band, ps.rounds[r - 1].band * kAdaptiveGrowth);
 
-  // Per-round accounting: cumulative counts are consistent and monotone,
-  // and the final total is what the sweep reports (and what the results
-  // carry as sim+cal provenance).
+  // Per-round accounting: cumulative counts are consistent and monotone
+  // (the smoke space repeats no configuration, so the selected count is
+  // the simulated count), and the final total is what the sweep reports
+  // (and what the results carry as sim+cal provenance).
   index_t running = 0;
-  for (const MixedRoundStats& rs : ms.rounds) {
-    running += rs.promoted_new;
-    EXPECT_EQ(rs.promoted_total, running);
+  for (const SearchRoundStats& rs : ps.rounds) {
+    running += rs.evaluated_new;
+    EXPECT_EQ(rs.candidates, running);
     EXPECT_GT(rs.front_size, 0);
   }
-  EXPECT_EQ(ms.promoted, running);
-  EXPECT_EQ(static_cast<size_t>(ms.promoted),
+  EXPECT_EQ(ps.evaluated, running);
+  EXPECT_EQ(static_cast<size_t>(ps.evaluated),
             promoted_subset(results).size());
 
-  // The stopping rule: either the front sat still for adaptive_stability
+  // The stopping rule: either the front sat still for kAdaptiveStability
   // consecutive widenings, or every point was promoted first.
-  if (ms.promoted < space.size()) {
-    ASSERT_GE(ms.rounds.size(), static_cast<size_t>(opt.adaptive_stability));
-    for (size_t r = ms.rounds.size() -
-                    static_cast<size_t>(opt.adaptive_stability);
-         r < ms.rounds.size(); ++r)
-      EXPECT_FALSE(ms.rounds[r].front_changed) << "round " << r;
+  if (ps.evaluated < space.size()) {
+    ASSERT_GE(ps.rounds.size(), static_cast<size_t>(kAdaptiveStability));
+    for (size_t r = ps.rounds.size() - static_cast<size_t>(kAdaptiveStability);
+         r < ps.rounds.size(); ++r)
+      EXPECT_FALSE(ps.rounds[r].front_changed) << "round " << r;
   } else {
-    EXPECT_EQ(ms.rounds.back().promoted_total, space.size());
+    EXPECT_EQ(ps.rounds.back().candidates, space.size());
   }
 }
 
@@ -241,7 +242,7 @@ TEST(MixedSweep, AdaptiveParallelEqualsSerialByteIdentical) {
   Evaluator serial(sopt);
   const std::string serial_csv =
       results_csv(serial.evaluate_space(space), "mixed").to_string();
-  const MixedSweepStats& sms = serial.mixed_stats();
+  const SearchStats& sms = serial.promotion_stats();
   for (int threads : {2, 4}) {
     EvaluatorOptions popt = mixed_opt(threads, 0.0);
     popt.promote_adaptive = true;
@@ -249,11 +250,11 @@ TEST(MixedSweep, AdaptiveParallelEqualsSerialByteIdentical) {
     EXPECT_EQ(serial_csv,
               results_csv(parallel.evaluate_space(space), "mixed").to_string())
         << "threads=" << threads;
-    const MixedSweepStats& pms = parallel.mixed_stats();
+    const SearchStats& pms = parallel.promotion_stats();
     ASSERT_EQ(pms.rounds.size(), sms.rounds.size()) << "threads=" << threads;
     for (size_t r = 0; r < pms.rounds.size(); ++r) {
       EXPECT_EQ(pms.rounds[r].band, sms.rounds[r].band);
-      EXPECT_EQ(pms.rounds[r].promoted_new, sms.rounds[r].promoted_new);
+      EXPECT_EQ(pms.rounds[r].evaluated_new, sms.rounds[r].evaluated_new);
       EXPECT_EQ(pms.rounds[r].front_size, sms.rounds[r].front_size);
       EXPECT_EQ(pms.rounds[r].front_changed, sms.rounds[r].front_changed);
     }
@@ -266,12 +267,11 @@ TEST(MixedSweep, BudgetPromotesExactlyTheBestPointsByMargin) {
   opt.promote_budget = 3;
   Evaluator eval(opt);
   const std::vector<EvalResult> results = eval.evaluate_space(space);
-  const MixedSweepStats& ms = eval.mixed_stats();
-  EXPECT_EQ(ms.mode, PromoteMode::kBudget);
-  EXPECT_EQ(ms.budget, 3);
-  EXPECT_EQ(ms.promoted, 3);
-  ASSERT_EQ(ms.rounds.size(), 1u);
-  EXPECT_EQ(ms.rounds[0].promoted_new, 3);
+  const SearchStats& ps = eval.promotion_stats();
+  EXPECT_EQ(ps.budget, 3);
+  EXPECT_EQ(ps.evaluated, 3);
+  ASSERT_EQ(ps.rounds.size(), 1u);
+  EXPECT_EQ(ps.rounds[0].evaluated_new, 3);
 
   // The promoted keys are exactly the budget's ranked-margin selection
   // over the analytic phase-1 scores.
@@ -286,7 +286,7 @@ TEST(MixedSweep, BudgetPromotesExactlyTheBestPointsByMargin) {
        promotion_margins_by_workload(ares, opt.promote_objectives))
     if (expected.count(canonical_key(m.result.point)))
       max_margin = std::max(max_margin, m.enter_band);
-  EXPECT_EQ(ms.band, max_margin);
+  EXPECT_EQ(ps.rounds[0].band, max_margin);
 }
 
 TEST(MixedSweep, BudgetParallelEqualsSerialByteIdentical) {
@@ -305,7 +305,8 @@ TEST(MixedSweep, BudgetParallelEqualsSerialByteIdentical) {
     EXPECT_EQ(serial_csv,
               results_csv(parallel.evaluate_space(space), "mixed").to_string())
         << "threads=" << threads;
-    EXPECT_EQ(parallel.mixed_stats().promoted, serial.mixed_stats().promoted);
+    EXPECT_EQ(parallel.promotion_stats().evaluated,
+              serial.promotion_stats().evaluated);
   }
 }
 
@@ -318,12 +319,12 @@ TEST(MixedSweep, InfiniteBudgetDegeneratesToInfiniteBand) {
   Evaluator budget(bopt);
   const std::string budget_csv =
       results_csv(budget.evaluate_space(space), "mixed").to_string();
-  EXPECT_EQ(budget.mixed_stats().promoted, space.size());
+  EXPECT_EQ(budget.promotion_stats().evaluated, space.size());
 
   Evaluator band(mixed_opt(1, std::numeric_limits<double>::infinity()));
   const std::string band_csv =
       results_csv(band.evaluate_space(space), "mixed").to_string();
-  EXPECT_EQ(band.mixed_stats().promoted, space.size());
+  EXPECT_EQ(band.promotion_stats().evaluated, space.size());
   EXPECT_EQ(budget_csv, band_csv);
 }
 
@@ -359,9 +360,9 @@ TEST(MixedSweep, AdaptiveFrontMatchesPureCalibratedSimOnPaperSpace) {
   const std::vector<EvalResult> full = analytic.evaluate_space(space);
   const size_t fixed_band_cost =
       epsilon_band_by_workload(full, 0.05, el).size();
-  EXPECT_LE(adaptive.mixed_stats().promoted,
+  EXPECT_LE(adaptive.promotion_stats().evaluated,
             static_cast<index_t>(fixed_band_cost));
-  EXPECT_GT(adaptive.mixed_stats().rounds.size(), 1u);
+  EXPECT_GT(adaptive.promotion_stats().rounds.size(), 1u);
 }
 
 TEST(MixedSweep, PaperSpacePromotionFractionStaysUnderBudget) {

@@ -217,6 +217,46 @@ TEST(SearchSlow, HalvingBudgetQuarterRecoversAdaptiveFrontOnPaperSpace) {
   EXPECT_EQ(results_csv(se_out.front).to_string(),
             results_csv(ad_out.front).to_string());
   EXPECT_LE(se_out.search.evaluated, 312);
+
+  // One promotion engine: the adaptive sweep and a halving search whose
+  // budget covers the whole space climb the same ladder, round for round,
+  // on both the core and the energy×latency plane.
+  const auto evaluated_per_round = [](const SearchStats& s) {
+    std::vector<index_t> v;
+    for (const SearchRoundStats& rs : s.rounds) v.push_back(rs.evaluated_new);
+    return v;
+  };
+  for (const char* plane : {"", "energy,latency"}) {
+    SweepConfig ad_cfg = adaptive;
+    SweepConfig se_cfg = search;
+    se_cfg.budget = 1248;
+    if (*plane != '\0')
+      ad_cfg.objectives = se_cfg.objectives = ObjectiveSet::parse(plane);
+    SweepSession ad(ad_cfg);
+    const SweepOutcome a_out = ad.run();
+    SweepSession se(se_cfg);
+    const SweepOutcome s_out = se.run();
+    const SearchStats& a = ad.evaluator().promotion_stats();
+    const SearchStats& h = s_out.search;
+    ASSERT_EQ(a.rounds.size(), h.rounds.size()) << plane;
+    for (size_t r = 0; r < a.rounds.size(); ++r) {
+      EXPECT_EQ(a.rounds[r].band, h.rounds[r].band) << plane << " round " << r;
+      EXPECT_EQ(a.rounds[r].evaluated_new, h.rounds[r].evaluated_new)
+          << plane << " round " << r;
+      EXPECT_EQ(a.rounds[r].front_size, h.rounds[r].front_size)
+          << plane << " round " << r;
+      EXPECT_EQ(a.rounds[r].front_changed, h.rounds[r].front_changed)
+          << plane << " round " << r;
+    }
+    EXPECT_EQ(results_csv(s_out.front).to_string(),
+              results_csv(a_out.front).to_string())
+        << plane;
+    const std::vector<index_t> pinned =
+        *plane == '\0' ? std::vector<index_t>{50, 446, 213}
+                       : std::vector<index_t>{30, 185, 10};
+    EXPECT_EQ(evaluated_per_round(a), pinned) << plane;
+    EXPECT_EQ(a.evaluated, *plane == '\0' ? 709 : 225) << plane;
+  }
 }
 
 }  // namespace

@@ -221,6 +221,43 @@ TEST(SweepConfig, SearchValidateRulesMatchTheCliFlagRules) {
   c.strategy_set = true;
   EXPECT_EQ(validate_message(c),
             "--strategy evolve: requires --backend analytic or sim\n");
+
+  // A search promotes by its own rule, so a sweep promotion-rule flag
+  // would be silently ignored there (and fork the store's scoring key).
+  SweepConfig search;
+  search.backend = EvalBackend::kMixed;
+  search.mode = RunMode::kSearch;
+  search.budget = 4;
+  search.budget_set = true;
+  c = search;
+  c.promote_band = 0.3;
+  c.promote_band_set = true;
+  EXPECT_EQ(validate_message(c), "--promote-band: requires --mode sweep\n");
+  c = search;
+  c.promote_adaptive = true;
+  EXPECT_EQ(validate_message(c),
+            "--promote-adaptive: requires --mode sweep\n");
+  c = search;
+  c.promote_budget = 2;
+  c.promote_budget_set = true;
+  EXPECT_EQ(validate_message(c), "--promote-budget: requires --mode sweep\n");
+  // Configs the older rules reject keep their messages.
+  c.backend = EvalBackend::kAnalytic;
+  c.strategy = SearchStrategy::kEvolve;
+  c.strategy_set = true;
+  EXPECT_EQ(validate_message(c),
+            "--promote-budget: requires --backend mixed\n");
+  c = search;
+  c.promote_band_set = true;
+  c.promote_adaptive = true;
+  EXPECT_EQ(validate_message(c),
+            "--promote-band and --promote-adaptive are mutually exclusive\n");
+  // The promotion plane is the search's selection plane too: still valid.
+  c = search;
+  c.promote_objectives = ObjectiveSet::parse("energy,latency");
+  c.promote_objectives_set = true;
+  std::ostringstream err;
+  EXPECT_TRUE(c.validate(err)) << err.str();
 }
 
 TEST(SweepConfig, FineSpaceRequiresSearchMode) {

@@ -140,6 +140,10 @@ TEST(Protocol, RejectsMalformedRequestsWithoutThrowing) {
   expect_error("{\"mode\": \"search\"}",
                "--mode search: requires --budget >= 1");
   expect_error("{\"space\": \"fine\"}", "beyond exhaustive sweep");
+  expect_error(
+      "{\"backend\": \"mixed\", \"mode\": \"search\", \"budget\": 4,"
+      " \"promote_band\": 0.1}",
+      "--promote-band: requires --mode sweep");
   // An id in a failing request is still echoed, so clients can correlate.
   const LineResult r =
       handle_request_line(d, "{\"id\": \"x7\", \"space\": \"nope\"}");

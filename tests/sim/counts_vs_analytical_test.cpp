@@ -17,8 +17,19 @@ TensorI8 random_i8(Shape s, Rng& rng) {
   return t;
 }
 
+// GoogleTest prints a SweepCase as its raw bytes, and those bytes become the
+// case's CTest name. `df_pad` spells out the four bytes between `df` and `m`
+// so they are always zero: as implicit padding they held leftover bytes,
+// and the case names changed from one build to the next.
 struct SweepCase {
+  SweepCase(Dataflow df_, index_t m_, index_t k_, index_t n_,
+            PsumConfig psum_, i64 ibuf_, i64 wbuf_, i64 obuf_,
+            const char* label_)
+      : df(df_), m(m_), k(k_), n(n_), psum(psum_), ibuf(ibuf_), wbuf(wbuf_),
+        obuf(obuf_), label(label_) {}
+
   Dataflow df;
+  i32 df_pad = 0;
   index_t m, k, n;
   PsumConfig psum;
   i64 ibuf, wbuf, obuf;  // buffer sizes chosen to exercise fit regimes
