@@ -408,14 +408,15 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
   }
   if (ro.stats) {
     // One whole-result table per fidelity in use (energy_cache_stats is
-    // the analytic one), then the two shared sub-evaluation tables.
+    // the analytic one), then the three shared sub-evaluation tables.
     std::cout << "cache hits/misses[/races] — ";
     if (cfg.backend != EvalBackend::kSim)
       print_cache_line("analytic", eval.energy_cache_stats(), false);
     if (cfg.backend != EvalBackend::kAnalytic)
       print_cache_line("sim", eval.sim_cache_stats(), false);
     print_cache_line("area", eval.area_cache_stats(), false);
-    print_cache_line("accuracy", eval.accuracy_cache_stats(), true);
+    print_cache_line("accuracy", eval.accuracy_cache_stats(), false);
+    print_cache_line("proxy_input", eval.proxy_input_cache_stats(), true);
     const WorkStealingPool& pool = WorkStealingPool::shared();
     std::cout << "pool: " << pool.num_threads() << " threads, "
               << pool.run_count() << " runs, " << pool.steal_count()

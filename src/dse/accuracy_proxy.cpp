@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -52,41 +54,48 @@ std::vector<const LayerShape*> representative_layers(const Workload& w) {
   return picked;
 }
 
-double layer_relative_mse(const LayerShape& layer, const PsumConfig& psum,
-                          index_t pci, u64 seed, const std::string& wname) {
-  const index_t np =
-      std::min<index_t>(kMaxTiles, std::max<index_t>(1, (layer.ci + pci - 1) / pci));
+/// np = ceil(ci / pci), clamped to [1, kMaxTiles].
+index_t proxy_tile_count(const LayerShape& layer, index_t pci) {
+  return std::min<index_t>(kMaxTiles,
+                           std::max<index_t>(1, (layer.ci + pci - 1) / pci));
+}
 
-  // The tile stream depends only on (seed, workload, layer) — every PSUM
-  // config is scored against identical inputs.
-  Rng rng = Rng::stream(seed, fnv1a(wname + "/" + layer.name) ^
+}  // namespace
+
+ProxyInputs make_proxy_inputs(const Workload& w, const LayerShape& layer,
+                              index_t np, u64 seed) {
+  APSQ_CHECK(np > 0);
+  Rng rng = Rng::stream(seed, fnv1a(w.name + "/" + layer.name) ^
                                   static_cast<u64>(layer.ci));
-  std::vector<TensorF> tiles;
-  tiles.reserve(static_cast<size_t>(np));
+  ProxyInputs in;
+  in.tiles.reserve(static_cast<size_t>(np));
   for (index_t t = 0; t < np; ++t) {
     TensorF tile({kTileRows, kTileCols});
     for (index_t e = 0; e < tile.numel(); ++e)
       tile[e] = static_cast<float>(rng.normal(0.0, 8.0));
-    tiles.push_back(std::move(tile));
+    in.tiles.push_back(std::move(tile));
   }
+  in.exact =
+      accumulate_psums(in.tiles, PsumMode::kExact, QuantSpec::int8(), {1.0});
+  for (index_t e = 0; e < in.exact.numel(); ++e)
+    in.abs_max =
+        std::max(in.abs_max, std::fabs(static_cast<double>(in.exact[e])));
+  return in;
+}
 
-  const TensorF exact =
-      accumulate_psums(tiles, PsumMode::kExact, QuantSpec::int8(), {1.0});
-
+double proxy_relative_mse(const ProxyInputs& in, const PsumConfig& psum) {
   // Power-of-two scale calibrated on the final accumulated range, exactly
   // as QuantDense does for the QAT path (see quant_dense.cpp).
   const QuantSpec spec{psum.psum_bits, true};
-  double max_out = 0.0;
-  for (index_t e = 0; e < exact.numel(); ++e)
-    max_out = std::max(max_out, std::fabs(static_cast<double>(exact[e])));
   PsumScaleCalibrator calib(spec, 0.0);
-  calib.observe_abs_max(max_out);
+  calib.observe_abs_max(in.abs_max);
   const double alpha = std::exp2(calib.exponent());
 
   const PsumMode mode = psum.apsq ? PsumMode::kApsq : PsumMode::kPsq;
   const TensorF approx =
-      accumulate_psums(tiles, mode, spec, {alpha}, psum.group_size);
+      accumulate_psums(in.tiles, mode, spec, {alpha}, psum.group_size);
 
+  const TensorF& exact = in.exact;
   double num = 0.0, den = 0.0;
   for (index_t e = 0; e < exact.numel(); ++e) {
     const double d = static_cast<double>(approx[e]) - static_cast<double>(exact[e]);
@@ -96,10 +105,8 @@ double layer_relative_mse(const LayerShape& layer, const PsumConfig& psum,
   return den > 0.0 ? num / den : 0.0;
 }
 
-}  // namespace
-
 double psum_error_proxy(const Workload& w, const PsumConfig& psum,
-                        index_t pci, u64 seed) {
+                        index_t pci, const ProxyInputsFn& inputs) {
   APSQ_CHECK(pci > 0);
   psum.validate();
   if (!psum.apsq && psum.psum_bits >= 32) return 0.0;  // exact storage
@@ -108,8 +115,16 @@ double psum_error_proxy(const Workload& w, const PsumConfig& psum,
   APSQ_CHECK_MSG(!layers.empty(), "workload has no layers");
   double sum = 0.0;
   for (const LayerShape* l : layers)
-    sum += layer_relative_mse(*l, psum, pci, seed, w.name);
+    sum += proxy_relative_mse(*inputs(*l, proxy_tile_count(*l, pci)), psum);
   return sum / static_cast<double>(layers.size());
+}
+
+double psum_error_proxy(const Workload& w, const PsumConfig& psum,
+                        index_t pci, u64 seed) {
+  return psum_error_proxy(w, psum, pci, [&](const LayerShape& l, index_t np) {
+    return std::make_shared<const ProxyInputs>(
+        make_proxy_inputs(w, l, np, seed));
+  });
 }
 
 }  // namespace apsq::dse

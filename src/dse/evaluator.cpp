@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -101,8 +102,20 @@ double Evaluator::error_for(const DesignPoint& p) {
       << "|apsq=" << (p.psum.apsq ? 1 : 0) << "|gs=" << p.psum.group_size
       << "|pci=" << p.acc.pci;
   return accuracy_tt_.lookup_or_compute(key.str(), [&] {
-    return psum_error_proxy(workload(p.workload), p.psum, p.acc.pci,
-                            opt_.seed);
+    const Workload& w = workload(p.workload);
+    if (open_batches_.load() == 0)
+      return psum_error_proxy(w, p.psum, p.acc.pci, opt_.seed);
+    // The seed is the evaluator's own, so it is not part of the key.
+    return psum_error_proxy(
+        w, p.psum, p.acc.pci, [&](const LayerShape& l, index_t np) {
+          std::ostringstream k;
+          k << "wl=" << w.name << "|layer=" << l.name << "|ci=" << l.ci
+            << "|np=" << np;
+          return proxy_input_tt_.lookup_or_compute(k.str(), [&] {
+            return std::make_shared<const ProxyInputs>(
+                make_proxy_inputs(w, l, np, opt_.seed));
+          });
+        });
   });
 }
 
@@ -373,6 +386,16 @@ std::vector<EvalResult> promoted_subset(
 
 void Evaluator::parallel_for_points(
     index_t n, const std::function<void(index_t)>& fn) {
+  // Opens the proxy-input memo for this batch. The last open batch to
+  // close empties it, on return or unwind alike, so tile streams never
+  // outlive the batches that drew them.
+  struct BatchScope {
+    Evaluator& e;
+    explicit BatchScope(Evaluator& ev) : e(ev) { ++e.open_batches_; }
+    ~BatchScope() {
+      if (--e.open_batches_ == 0) e.proxy_input_tt_.clear();
+    }
+  } const batch(*this);
   if (opt_.threads > 1) {
     WorkStealingPool::shared().parallel_for(n, fn);
   } else {
@@ -390,6 +413,12 @@ CacheStats Evaluator::sim_cache_stats() const { return sim_tt_.stats(); }
 CacheStats Evaluator::area_cache_stats() const { return area_tt_.stats(); }
 CacheStats Evaluator::accuracy_cache_stats() const {
   return accuracy_tt_.stats();
+}
+CacheStats Evaluator::proxy_input_cache_stats() const {
+  return proxy_input_tt_.stats();
+}
+i64 Evaluator::proxy_input_entries() const {
+  return proxy_input_tt_.entries();
 }
 CacheStats Evaluator::score_tt_stats() const {
   const CacheStats a = analytic_tt_.stats(), s = sim_tt_.stats();

@@ -37,11 +37,18 @@
 //
 // Memoization: every score is cached whole, once per fidelity, under the
 // point's canonical key, so a re-run, an overlapping space or a promotion
-// round never pays for a point twice. Below that, only the two
+// round never pays for a point twice. Below that, only the three
 // sub-evaluations whose keys really are shared across points have their
-// own tables: area depends only on the accelerator geometry and the
-// accuracy proxy only on (workload, psum, pci), so a cartesian sweep
-// reuses the overwhelming majority of both. All scoring functions are
+// own tables: area depends only on the accelerator geometry, the
+// accuracy proxy only on (workload, psum, pci), and the proxy's inputs —
+// one layer's synthetic tile stream and its exact accumulation — only on
+// (workload, layer, ci, np) at the evaluator's seed, so a cartesian sweep
+// reuses the overwhelming majority of all three. The proxy-input table
+// lives for one scoring batch (one parallel_for_points call): it is
+// emptied when the last running batch returns or throws, and a point
+// scored while no batch runs draws its inputs afresh. A long-lived
+// evaluator (the daemon keeps one per scoring key) therefore never keeps
+// tile streams between batches. All scoring functions are
 // pure, every worker derives its randomness per work item via
 // Rng::stream, and results land in index-addressed slots, so a parallel
 // sweep is byte-identical to a serial one. Parallel evaluation runs on the
@@ -51,11 +58,13 @@
 // oversubscribing.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "dse/accuracy_proxy.hpp"
 #include "dse/calibrate.hpp"
 #include "dse/config_space.hpp"
 #include "dse/design_point.hpp"
@@ -258,6 +267,11 @@ class Evaluator {
   CacheStats sim_cache_stats() const;
   CacheStats area_cache_stats() const;
   CacheStats accuracy_cache_stats() const;
+  /// The accuracy proxy's per-layer inputs (tile stream + exact
+  /// accumulation); misses count tile streams drawn inside batches.
+  CacheStats proxy_input_cache_stats() const;
+  /// Tile streams currently memoized: 0 whenever no batch is running.
+  i64 proxy_input_entries() const;
   /// Both whole-result tables (evaluate_point) summed.
   CacheStats score_tt_stats() const;
 
@@ -292,18 +306,23 @@ class Evaluator {
   /// kSim — never kMixed), unmemoized. evaluate_point memoizes it.
   EvalResult evaluate_at(const DesignPoint& p, EvalBackend fidelity);
   /// Index loop over points: inline when threads == 1, on the shared pool
-  /// otherwise.
+  /// otherwise. One call is one scoring batch: the proxy-input memo is
+  /// open while it runs and emptied when the last open batch ends.
   void parallel_for_points(index_t n, const std::function<void(index_t)>& fn);
 
   EvaluatorOptions opt_;
   SearchStats promotion_stats_;
   // Every memo is one sharded TranspositionTable (dse/tt.hpp): one
-  // whole-result table per fidelity, keyed by canonical_key, plus the two
-  // sub-evaluations whose keys really are shared across points.
+  // whole-result table per fidelity, keyed by canonical_key, plus the
+  // three sub-evaluations whose keys really are shared across points.
   TranspositionTable<EvalResult> analytic_tt_;
   TranspositionTable<EvalResult> sim_tt_;
   TranspositionTable<double> area_tt_;
   TranspositionTable<double> accuracy_tt_;
+  TranspositionTable<std::shared_ptr<const ProxyInputs>> proxy_input_tt_;
+  /// Scoring batches running now; the last one to finish empties
+  /// proxy_input_tt_, and error_for bypasses it while this is 0.
+  std::atomic<int> open_batches_{0};
   std::unique_ptr<Calibrator> calibrator_;  ///< sim/mixed + calibrate only
 };
 

@@ -528,6 +528,7 @@ StatsWriter SweepSession::stats_writer(const SweepOutcome& out) const {
   put_cache("energy", eval_->energy_cache_stats());
   put_cache("area", eval_->area_cache_stats());
   put_cache("accuracy", eval_->accuracy_cache_stats());
+  put_cache("proxy_input", eval_->proxy_input_cache_stats());
   if (cfg_.backend != EvalBackend::kSim)
     put_cache("latency", eval_->latency_cache_stats());
   if (cfg_.backend != EvalBackend::kAnalytic)

@@ -82,6 +82,15 @@ class TranspositionTable {
     return total;
   }
 
+  /// Drop every memoized value; the counters keep counting. A value a
+  /// caller already holds stays valid (lookups return copies).
+  void clear() {
+    for (const auto& s : shards_) {
+      MutexLock lock(s->mu);
+      s->map.clear();
+    }
+  }
+
   /// Distinct memoized keys across all shards.
   i64 entries() const {
     i64 n = 0;
