@@ -22,8 +22,8 @@
 // half-merged entry set behind.
 //
 // Thread safety: the store is internally synchronized (one batch of job
-// specs shares a single store across sessions today; the planned resident
-// daemon will serve it to concurrent front queries). Entries are
+// specs shares a single store across sessions; the apsq_dsed daemon
+// serves it to concurrent front queries). Entries are
 // copy-on-write — find() hands out a shared_ptr to an immutable Entry, so
 // a reader re-slicing a snapshot is never invalidated by a concurrent
 // put() or load_file() replacing the entry under the same key. The map

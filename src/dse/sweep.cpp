@@ -275,12 +275,7 @@ SweepSession::SweepSession(SweepConfig cfg, EvalStore* store)
   if (!cfg_.validate(err)) throw std::invalid_argument(err.str());
   constraints_ = parse_constraints(cfg_.where);
   space_ = cfg_.make_space();
-  // The shared pool is built lazily on first use; pinning its width here
-  // makes the thread count an honest concurrency bound rather than a
-  // serial/pool mode switch. An explicit APSQ_POOL_THREADS env var wins.
-  setenv("APSQ_POOL_THREADS", std::to_string(cfg_.resolved_threads()).c_str(),
-         /*overwrite=*/0);
-  eval_ = std::make_unique<Evaluator>(cfg_.evaluator_options());
+  eval_ = make_evaluator(cfg_);
   if (external_store_ == nullptr &&
       (!cfg_.store_in.empty() || !cfg_.store_out.empty()))
     owned_store_ = std::make_unique<EvalStore>();
@@ -306,24 +301,81 @@ std::vector<EvalResult> extract_front(
   return pareto_front_by_workload(basis, cfg.objectives);
 }
 
-std::vector<EvalResult> SweepSession::slice_front(
-    const std::vector<EvalResult>& results, size_t& global_front_size) const {
-  return extract_front(cfg_, constraints_, results, &global_front_size);
+std::unique_ptr<Evaluator> make_evaluator(const SweepConfig& cfg) {
+  // Pinning the lazily built pool's width makes the thread count an honest
+  // concurrency bound rather than a serial/pool mode switch.
+  setenv("APSQ_POOL_THREADS", std::to_string(cfg.resolved_threads()).c_str(),
+         /*overwrite=*/0);
+  return std::make_unique<Evaluator>(cfg.evaluator_options());
+}
+
+i64 preload_calibration(Evaluator& eval, const SweepConfig& cfg) {
+  if (eval.calibrator() == nullptr || cfg.calibration_csv.empty() ||
+      !std::ifstream(cfg.calibration_csv).good())
+    return -1;
+  return static_cast<i64>(
+      eval.calibrator()->load_unit_factors_csv(cfg.calibration_csv));
+}
+
+StoreAnswer answer_from_store(const SweepConfig& cfg, const ConfigSpace& space,
+                              const EvalStore& store,
+                              const EvalStore::Entry* entry) {
+  const auto where = [&store] {
+    const std::string src = store.source();
+    return src.empty() ? std::string("evaluated-space store") : src;
+  };
+  if (entry != nullptr && entry->space_points != space.size()) {
+    // Same hash, different size can only mean a corrupted snapshot or a
+    // hash collision — either way the entry must not answer queries.
+    throw std::runtime_error(
+        where() + ": snapshot for space hash " + entry->space_hash +
+        " records " + std::to_string(entry->space_points) +
+        " points but the space has " + std::to_string(space.size()));
+  }
+  // Guard against collisions and stale snapshots: a stored row must
+  // denote exactly the point the space enumerates at its index.
+  const auto checked = [&](index_t i, const EvalResult& r) -> const EvalResult& {
+    const std::string stored = canonical_key(r.point);
+    const std::string expected = canonical_key(space.at(i));
+    if (stored != expected)
+      throw std::runtime_error(where() + ": snapshot point " +
+                               std::to_string(i) +
+                               " does not match the space (stored " + stored +
+                               ", expected " + expected + ")");
+    return r;
+  };
+
+  StoreAnswer ans;
+  if (cfg.search()) {
+    if (entry == nullptr) return ans;
+    ans.results.reserve(entry->results.size());
+    for (const auto& [i, r] : entry->results)
+      ans.results.push_back(checked(i, r));
+    return ans;
+  }
+  const bool usable = entry != nullptr && (entry->complete() || !cfg.mixed());
+  ans.results.resize(static_cast<size_t>(space.size()));
+  for (index_t i = 0; i < space.size(); ++i) {
+    if (usable) {
+      const auto it = entry->results.find(i);
+      if (it != entry->results.end()) {
+        ans.results[static_cast<size_t>(i)] = checked(i, it->second);
+        continue;
+      }
+    }
+    ans.misses.push_back(i);
+  }
+  return ans;
 }
 
 SweepOutcome SweepSession::run() {
-  if (cfg_.search()) return run_search();
   SweepOutcome out;
   EvalStore* st = store();
   // A private store loads its own snapshot; an external (shared) store is
   // the batch runner's to load once up front.
   if (owned_store_ != nullptr && !cfg_.store_in.empty())
     owned_store_->load_file(cfg_.store_in);
-
-  if (eval_->calibrator() && !cfg_.calibration_csv.empty() &&
-      std::ifstream(cfg_.calibration_csv).good())
-    out.calibration_families_loaded = static_cast<i64>(
-        eval_->calibrator()->load_unit_factors_csv(cfg_.calibration_csv));
+  out.calibration_families_loaded = preload_calibration(*eval_, cfg_);
 
   const std::string hash = config_space_hash(space_);
   const std::string scoring = cfg_.scoring_key();
@@ -332,134 +384,31 @@ SweepOutcome SweepSession::run() {
   // another session concurrently replaces it in a shared store.
   const std::shared_ptr<const EvalStore::Entry> entry =
       st != nullptr ? st->find(hash, scoring) : nullptr;
-  if (entry != nullptr && entry->space_points != space_.size()) {
-    // Same hash, different size can only mean a corrupted snapshot or a
-    // hash collision — either way the entry must not answer queries.
-    throw std::runtime_error(
-        (st->source().empty() ? std::string("evaluated-space store")
-                              : st->source()) +
-        ": snapshot for space hash " + hash + " records " +
-        std::to_string(entry->space_points) + " points but the space has " +
-        std::to_string(space_.size()));
-  }
   if (entry == nullptr && owned_store_ != nullptr && !cfg_.store_in.empty()) {
     // The caller explicitly asked to answer from this snapshot file; a
-    // missing match must fail loudly, not silently re-evaluate 1248
-    // points.
-    throw std::runtime_error(cfg_.store_in +
-                             ": no snapshot for space hash " + hash +
-                             " under scoring \"" + scoring +
-                             "\" — re-run the sweep with --store-out to "
-                             "record one");
-  }
-
-  // The mixed pipeline's promotion set depends on the whole space, so a
-  // partial mixed snapshot cannot be completed point-by-point — only a
-  // complete one answers; otherwise the two-phase sweep runs in full.
-  if (entry != nullptr && (entry->complete() || !cfg_.mixed())) {
-    out.results.resize(static_cast<size_t>(space_.size()));
-    std::vector<index_t> misses;
-    for (index_t i = 0; i < space_.size(); ++i) {
-      const auto it = entry->results.find(i);
-      if (it == entry->results.end()) {
-        misses.push_back(i);
-        continue;
-      }
-      const DesignPoint p = space_.at(i);
-      // Guard against collisions and stale snapshots: the stored row must
-      // denote exactly the point the space enumerates at this index.
-      if (canonical_key(it->second.point) != canonical_key(p))
-        throw std::runtime_error(
-            (st->source().empty() ? std::string("evaluated-space store")
-                                  : st->source()) +
-            ": snapshot point " + std::to_string(i) +
-            " does not match the space (stored " +
-            canonical_key(it->second.point) + ", expected " +
-            canonical_key(p) + ")");
-      out.results[static_cast<size_t>(i)] = it->second;
-    }
-    out.store_hits = space_.size() - static_cast<index_t>(misses.size());
-    if (!misses.empty()) {
-      // Batched misses: one evaluate_points call, so they share the
-      // process-wide pool (and each other's memo-cache warmth).
-      std::vector<DesignPoint> pts;
-      pts.reserve(misses.size());
-      for (const index_t i : misses) pts.push_back(space_.at(i));
-      const std::vector<EvalResult> fresh = eval_->evaluate_points(pts);
-      for (size_t j = 0; j < misses.size(); ++j)
-        out.results[static_cast<size_t>(misses[j])] = fresh[j];
-      out.fresh_evaluations = static_cast<index_t>(misses.size());
-    }
-  } else {
-    out.results = eval_->evaluate_space(space_);
-    out.fresh_evaluations = space_.size();
-  }
-  out.front = slice_front(out.results, out.global_front_size);
-  out.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count();
-
-  if (st != nullptr && out.fresh_evaluations > 0)
-    st->put(hash, scoring, cfg_.scored_by_label(), space_.size(), out.results);
-  if (owned_store_ != nullptr && !cfg_.store_out.empty() &&
-      !owned_store_->save_file(cfg_.store_out))
-    throw std::runtime_error("failed to write " + cfg_.store_out);
-
-  if (eval_->calibrator() && !cfg_.calibration_csv.empty() &&
-      !eval_->calibrator()->unit_factors_csv().write(cfg_.calibration_csv))
-    throw std::runtime_error("failed to write " + cfg_.calibration_csv);
-  return out;
-}
-
-SweepOutcome SweepSession::run_search() {
-  SweepOutcome out;
-  EvalStore* st = store();
-  if (owned_store_ != nullptr && !cfg_.store_in.empty())
-    owned_store_->load_file(cfg_.store_in);
-
-  if (eval_->calibrator() && !cfg_.calibration_csv.empty() &&
-      std::ifstream(cfg_.calibration_csv).good())
-    out.calibration_families_loaded = static_cast<i64>(
-        eval_->calibrator()->load_unit_factors_csv(cfg_.calibration_csv));
-
-  const std::string hash = config_space_hash(space_);
-  const std::string scoring = cfg_.scoring_key();
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::shared_ptr<const EvalStore::Entry> entry =
-      st != nullptr ? st->find(hash, scoring) : nullptr;
-  if (entry != nullptr && entry->space_points != space_.size()) {
-    throw std::runtime_error(
-        (st->source().empty() ? std::string("evaluated-space store")
-                              : st->source()) +
-        ": snapshot for space hash " + hash + " records " +
-        std::to_string(entry->space_points) + " points but the space has " +
-        std::to_string(space_.size()));
-  }
-  if (entry == nullptr && owned_store_ != nullptr && !cfg_.store_in.empty()) {
+    // missing match must fail loudly, not silently re-evaluate the space.
     throw std::runtime_error(cfg_.store_in + ": no snapshot for space hash " +
                              hash + " under scoring \"" + scoring +
-                             "\" — re-run the search with --store-out to "
-                             "record one");
+                             "\" — re-run the " + to_string(cfg_.mode) +
+                             " with --store-out to record one");
   }
 
   if (entry != nullptr) {
-    // The scoring key pins (strategy, budget, search seed), and the
-    // trajectory those denote is deterministic — so the entry's sparse
-    // rows are the complete answer, not a partial snapshot to top up.
-    out.results.reserve(entry->results.size());
-    for (const auto& [i, r] : entry->results) {
-      const DesignPoint p = space_.at(i);
-      if (canonical_key(r.point) != canonical_key(p))
-        throw std::runtime_error(
-            (st->source().empty() ? std::string("evaluated-space store")
-                                  : st->source()) +
-            ": snapshot point " + std::to_string(i) +
-            " does not match the space (stored " + canonical_key(r.point) +
-            ", expected " + canonical_key(p) + ")");
-      out.results.push_back(r);
+    StoreAnswer ans = answer_from_store(cfg_, space_, *st, entry.get());
+    out.store_hits = ans.hits();
+    out.results = std::move(ans.results);
+    if (!ans.misses.empty()) {
+      // Batched misses: one evaluate_points call, so they share the
+      // process-wide pool (and each other's memo-cache warmth).
+      std::vector<DesignPoint> pts;
+      pts.reserve(ans.misses.size());
+      for (const index_t i : ans.misses) pts.push_back(space_.at(i));
+      const std::vector<EvalResult> fresh = eval_->evaluate_points(pts);
+      for (size_t j = 0; j < ans.misses.size(); ++j)
+        out.results[static_cast<size_t>(ans.misses[j])] = fresh[j];
+      out.fresh_evaluations = static_cast<index_t>(ans.misses.size());
     }
-    out.store_hits = static_cast<index_t>(entry->results.size());
-  } else {
+  } else if (cfg_.search()) {
     SearchDriver driver(space_, *eval_, cfg_.search_options());
     const std::map<index_t, EvalResult> rows = driver.run();
     out.search = driver.stats();
@@ -469,11 +418,19 @@ SweepOutcome SweepSession::run_search() {
     if (st != nullptr && !rows.empty())
       st->merge_rows(hash, scoring, cfg_.scored_by_label(), space_.size(),
                      rows);
+  } else {
+    // Nothing stored: the whole space is one batch.
+    out.results = eval_->evaluate_space(space_);
+    out.fresh_evaluations = space_.size();
   }
-  out.front = slice_front(out.results, out.global_front_size);
+  out.front =
+      extract_front(cfg_, constraints_, out.results, &out.global_front_size);
   out.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)
                  .count();
+
+  if (st != nullptr && !cfg_.search() && out.fresh_evaluations > 0)
+    st->put(hash, scoring, cfg_.scored_by_label(), space_.size(), out.results);
 
   if (owned_store_ != nullptr && !cfg_.store_out.empty() &&
       !owned_store_->save_file(cfg_.store_out))

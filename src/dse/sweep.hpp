@@ -1,6 +1,6 @@
 // Library-level sweep engine: the orchestration `apsq_dse` used to
-// hand-assemble, packaged so any embedder — the CLI, tests, benches, a
-// batch job runner, a future daemon — runs identical sweeps
+// hand-assemble, packaged so any embedder — the CLI, tests, benches, the
+// batch job runner, the apsq_dsed daemon — runs identical sweeps
 // programmatically.
 //
 //   SweepConfig   — one declarative sweep description: space, fidelity
@@ -21,7 +21,9 @@
 // hash) under this scoring identity (scoring_key()), the stored results
 // are re-sliced — a different objective subset, a constraint filter, a
 // margin ranking — and only missing points are evaluated, batched
-// together through the process-wide shared pool.
+// together through the process-wide shared pool. answer_from_store() is
+// that store-answer path; the session and the daemon dispatcher both
+// answer through it.
 #pragma once
 
 #include <iostream>
@@ -33,10 +35,9 @@
 #include "dse/config_space.hpp"
 #include "dse/evaluator.hpp"
 #include "dse/search.hpp"
+#include "dse/store.hpp"
 
 namespace apsq::dse {
-
-class EvalStore;
 
 /// How a session covers its space: exhaustively score every point, or
 /// explore under an evaluation budget (SearchDriver).
@@ -177,6 +178,47 @@ std::vector<EvalResult> extract_front(const SweepConfig& cfg,
                                       const std::vector<EvalResult>& results,
                                       size_t* global_front_size = nullptr);
 
+/// Pin the shared pool's width to cfg's thread count (the pool is built
+/// lazily on first use; the first config wins and an explicit
+/// APSQ_POOL_THREADS env var beats both), then build the Evaluator cfg
+/// denotes.
+std::unique_ptr<Evaluator> make_evaluator(const SweepConfig& cfg);
+
+/// Preload fitted calibration unit factors from cfg.calibration_csv into
+/// `eval`'s calibrator when both exist. Returns the number of families
+/// loaded, -1 when nothing was loaded.
+i64 preload_calibration(Evaluator& eval, const SweepConfig& cfg);
+
+/// What a store entry answers of one config's result set.
+struct StoreAnswer {
+  /// Sweep: one slot per space point in enumeration order, the slots
+  /// named in `misses` still unscored. Search: the entry's sparse rows,
+  /// ascending by index — the complete answer.
+  std::vector<EvalResult> results;
+  /// Sweep: the points left to evaluate, ascending. Empty for a search.
+  std::vector<index_t> misses;
+
+  index_t hits() const {
+    return static_cast<index_t>(results.size() - misses.size());
+  }
+};
+
+/// Answer `cfg` over `space` from `entry`, the snapshot `store` holds for
+/// (config_space_hash(space), cfg.scoring_key()), or nullptr when it holds
+/// none. A search entry's rows are the complete answer (the scoring key
+/// pins the deterministic trajectory); with no entry a search answers
+/// nothing. A sweep takes every stored row and misses the rest — all of
+/// the space when there is no entry, or when the entry is a partial mixed
+/// snapshot (the promotion set depends on the whole space, so it cannot
+/// be topped up point by point). Throws std::runtime_error naming the
+/// store's source when the entry records a different point count than
+/// the space has, or a stored row denotes a different point than the
+/// space enumerates at its index. SweepSession and the daemon dispatcher
+/// both answer through here.
+StoreAnswer answer_from_store(const SweepConfig& cfg, const ConfigSpace& space,
+                              const EvalStore& store,
+                              const EvalStore::Entry* entry);
+
 /// What one sweep produced, plus the accounting a report needs.
 struct SweepOutcome {
   /// Every scored point, in enumeration order. An exhaustive sweep covers
@@ -215,11 +257,13 @@ class SweepSession {
   explicit SweepSession(SweepConfig cfg, EvalStore* store = nullptr);
   ~SweepSession();
 
-  /// Run the sweep: answer from the store where possible, evaluate the
-  /// (batched) misses, record the full result set back into the store,
-  /// extract the fronts, persist calibration factors / the store snapshot
-  /// when configured. Throws std::runtime_error on store/calibration I/O
-  /// or consistency failures.
+  /// Run the sweep or search: answer from the store where possible
+  /// (answer_from_store), score what it misses — a sweep evaluates its
+  /// misses in one batch, a search with no stored answer runs the
+  /// SearchDriver — and record the fresh rows back into the store, then
+  /// extract the fronts and persist calibration factors / the store
+  /// snapshot when configured. Throws std::runtime_error on
+  /// store/calibration I/O or consistency failures.
   SweepOutcome run();
 
   /// Re-run fully serially (threads = 1, no store) and require the
@@ -240,14 +284,6 @@ class SweepSession {
   EvalStore* store();
 
  private:
-  std::vector<EvalResult> slice_front(const std::vector<EvalResult>& results,
-                                      size_t& global_front_size) const;
-  /// The search-mode body of run(): answer whole from a store entry under
-  /// the search scoring key (its sparse rows ARE the complete output of
-  /// this deterministic trajectory), or run the SearchDriver cold and
-  /// merge its rows into the store.
-  SweepOutcome run_search();
-
   SweepConfig cfg_;
   ConfigSpace space_;
   std::vector<Constraint> constraints_;

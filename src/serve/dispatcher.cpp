@@ -1,8 +1,6 @@
 #include "serve/dispatcher.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +9,7 @@
 #include "dse/report.hpp"
 #include "dse/search.hpp"
 #include "dse/store.hpp"
+#include "dse/sweep.hpp"
 
 namespace apsq::serve {
 
@@ -67,18 +66,11 @@ Dispatcher::Group& Dispatcher::group_for(const std::string& hash,
   // may fit calibration anchors); publish under it — first writer wins,
   // a racing loser's evaluator is simply discarded.
   auto g = std::make_unique<Group>();
-  // Pin the shared pool's width like SweepSession does (first config
-  // wins; an explicit APSQ_POOL_THREADS env var beats both).
-  setenv("APSQ_POOL_THREADS",
-         std::to_string(req.config.resolved_threads()).c_str(),
-         /*overwrite=*/0);
-  g->eval = std::make_unique<dse::Evaluator>(req.config.evaluator_options());
-  // Preload fitted calibration factors exactly the way a session would,
-  // so calibrated fronts stay byte-identical to batch mode. The daemon
-  // never writes the CSV back — it only answers queries.
-  if (g->eval->calibrator() && !req.config.calibration_csv.empty() &&
-      std::ifstream(req.config.calibration_csv).good())
-    g->eval->calibrator()->load_unit_factors_csv(req.config.calibration_csv);
+  // Built and preloaded exactly the way a session builds its evaluator, so
+  // calibrated fronts stay byte-identical to batch mode. The daemon never
+  // writes the calibration CSV back — it only answers queries.
+  g->eval = dse::make_evaluator(req.config);
+  dse::preload_calibration(*g->eval, req.config);
   MutexLock lock(mu_);
   const auto it = groups_.emplace(key, std::move(g)).first;
   return *it->second;
@@ -98,155 +90,79 @@ QueryResult Dispatcher::query(const dse::RequestSpec& req) {
   total_requests_.fetch_add(1);
 
   QueryResult out;
-
+  // Whatever the store can answer is answered by the path a SweepSession
+  // takes; only what it misses reaches the coalescing layer below.
   const std::shared_ptr<const dse::EvalStore::Entry> entry =
       store_.find(hash, scoring);
-  if (entry != nullptr && entry->space_points != space.size()) {
-    // Same hash, different size can only mean a corrupted snapshot or a
-    // hash collision — either way the entry must not answer queries.
-    throw std::runtime_error(
-        (store_.source().empty() ? std::string("evaluated-space store")
-                                 : store_.source()) +
-        ": snapshot for space hash " + hash + " records " +
-        std::to_string(entry->space_points) + " points but the space has " +
-        std::to_string(space.size()));
-  }
+  dse::StoreAnswer ans =
+      dse::answer_from_store(req.config, space, store_, entry.get());
+  out.stats.store_hits = ans.hits();
+  out.results = std::move(ans.results);
 
-  // A per-row guard shared by both answer paths: a stored row must denote
-  // exactly the point the space enumerates at its index — anything else
-  // is a hash collision or a stale snapshot.
-  const auto check_row = [&](index_t i, const EvalResult& r) {
-    const DesignPoint p = space.at(i);
-    if (canonical_key(r.point) != canonical_key(p))
-      throw std::runtime_error(
-          (store_.source().empty() ? std::string("evaluated-space store")
-                                   : store_.source()) +
-          ": snapshot point " + std::to_string(i) +
-          " does not match the space (stored " + canonical_key(r.point) +
-          ", expected " + canonical_key(p) + ")");
-  };
-
-  // The shared answer tail: front extraction, truncation, and the
-  // telemetry counters — identical for sweep and search responses.
-  const auto finish = [&]() -> QueryResult {
-    size_t global_front_size = 0;
-    std::vector<EvalResult> front = dse::extract_front(
-        req.config, constraints, out.results, &global_front_size);
-    out.front_size = front.size();
-    out.global_front_size = global_front_size;
-    out.front_csv =
-        dse::results_csv(front, req.config.scored_by_label()).to_string();
-    if (req.top > 0 && static_cast<size_t>(req.top) < front.size())
-      front.resize(static_cast<size_t>(req.top));
-    out.front = std::move(front);
-    out.stats.wall_ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    const WorkStealingPool& pool = WorkStealingPool::shared();
-    out.stats.pool_threads = pool.num_threads();
-    out.stats.pool_runs = pool.run_count();
-    out.stats.pool_steals = pool.steal_count();
-    return std::move(out);
-  };
-
-  if (req.config.search()) {
-    // Budgeted search: the scoring key pins (strategy, budget, seed,
-    // objective plane), so a snapshot's sparse rows ARE the complete
-    // deterministic answer — a warm search query never runs the driver,
-    // and concurrent cold queries coalesce onto ONE driver run.
-    if (entry != nullptr) {
-      for (const auto& [i, r] : entry->results) {
-        check_row(i, r);
-        out.results.push_back(r);
+  if (req.config.search() && entry == nullptr) {
+    // A cold budgeted search: concurrent cold queries under one scoring
+    // identity coalesce onto ONE driver run, whose rows answer them all.
+    Group& g = group_for(hash, scoring, req);
+    const CounterScope in_group(inflight_);
+    bool leader = false;
+    {
+      MutexLock lock(g.mu);
+      while (!g.search_done && g.leader_active) g.cv.wait(g.mu);
+      if (!g.search_done) {
+        g.leader_active = true;
+        leader = true;
       }
-      out.stats.store_hits = static_cast<index_t>(out.results.size());
-    } else {
-      Group& g = group_for(hash, scoring, req);
-      const CounterScope in_group(inflight_);
-      bool leader = false;
+    }
+    if (leader) {
+      if (batch_hook_) batch_hook_();
+      std::map<index_t, EvalResult> rows;
+      try {
+        dse::SearchDriver driver(space, *g.eval, req.config.search_options());
+        rows = driver.run();
+      } catch (...) {
+        // Hand leadership back so a waiter can retry instead of blocking
+        // forever on a search that will never complete.
+        MutexLock lock(g.mu);
+        g.leader_active = false;
+        g.cv.notify_all();
+        throw;
+      }
+      store_.merge_rows(hash, scoring, req.config.scored_by_label(),
+                        space.size(), rows);
       {
         MutexLock lock(g.mu);
-        while (!g.search_done && g.leader_active) g.cv.wait(g.mu);
-        if (!g.search_done) {
-          g.leader_active = true;
-          leader = true;
-        }
+        g.search_done = true;
+        g.leader_active = false;
       }
-      if (leader) {
-        if (batch_hook_) batch_hook_();
-        std::map<index_t, EvalResult> rows;
-        try {
-          dse::SearchDriver driver(space, *g.eval,
-                                   req.config.search_options());
-          rows = driver.run();
-        } catch (...) {
-          // Hand leadership back so a waiter can retry instead of
-          // blocking forever on a search that will never complete.
-          MutexLock lock(g.mu);
-          g.leader_active = false;
-          g.cv.notify_all();
-          throw;
-        }
-        store_.merge_rows(hash, scoring, req.config.scored_by_label(),
-                          space.size(), rows);
-        {
-          MutexLock lock(g.mu);
-          g.search_done = true;
-          g.leader_active = false;
-        }
-        g.cv.notify_all();
-        for (auto& [i, r] : rows) {
-          static_cast<void>(i);
-          out.results.push_back(std::move(r));
-        }
-        out.stats.fresh_evaluations = static_cast<index_t>(out.results.size());
-        out.stats.eval_batches = 1;
-        total_fresh_.fetch_add(static_cast<i64>(out.results.size()));
-        total_batches_.fetch_add(1);
-      } else {
-        // Follower: the leader merged its rows before raising search_done,
-        // so the store must hold the entry now.
-        const std::shared_ptr<const dse::EvalStore::Entry> ready =
-            store_.find(hash, scoring);
-        if (ready == nullptr)
-          throw std::runtime_error(
-              "dispatcher: search snapshot missing after a completed search "
-              "for space hash " +
-              hash);
-        for (const auto& [i, r] : ready->results) {
-          check_row(i, r);
-          out.results.push_back(r);
-        }
-        out.stats.coalesced = static_cast<index_t>(out.results.size());
+      g.cv.notify_all();
+      for (auto& [i, r] : rows) {
+        static_cast<void>(i);
+        out.results.push_back(std::move(r));
       }
+      out.stats.fresh_evaluations = static_cast<index_t>(out.results.size());
+      out.stats.eval_batches = 1;
+      total_fresh_.fetch_add(static_cast<i64>(out.results.size()));
+      total_batches_.fetch_add(1);
+    } else {
+      // Follower: the leader merged its rows before raising search_done,
+      // so the store must hold the entry now.
+      const std::shared_ptr<const dse::EvalStore::Entry> ready =
+          store_.find(hash, scoring);
+      if (ready == nullptr)
+        throw std::runtime_error(
+            "dispatcher: search snapshot missing after a completed search "
+            "for space hash " +
+            hash);
+      out.results =
+          dse::answer_from_store(req.config, space, store_, ready.get())
+              .results;
+      out.stats.coalesced = static_cast<index_t>(out.results.size());
     }
-    return finish();
-  }
-
-  out.results.resize(static_cast<size_t>(space.size()));
-  std::vector<index_t> misses;
-  // The mixed pipeline's promotion set depends on the whole space, so a
-  // partial mixed snapshot cannot be completed point-by-point — only a
-  // complete one answers; otherwise the full space is (re)evaluated in
-  // one batch, which for the mixed backend IS the two-phase sweep.
-  const bool usable =
-      entry != nullptr && (entry->complete() || !req.config.mixed());
-  for (index_t i = 0; i < space.size(); ++i) {
-    if (usable) {
-      const auto it = entry->results.find(i);
-      if (it != entry->results.end()) {
-        check_row(i, it->second);
-        out.results[static_cast<size_t>(i)] = it->second;
-        continue;
-      }
-    }
-    misses.push_back(i);
-  }
-  out.stats.store_hits = space.size() - static_cast<index_t>(misses.size());
-
-  if (!misses.empty()) {
+  } else if (!ans.misses.empty()) {
+    // Sweep misses — the whole space when nothing usable is stored, which
+    // for the mixed backend IS the two-phase sweep — coalesce point-wise.
     Group& g = group_for(hash, scoring, req);
-    const std::set<index_t> need(misses.begin(), misses.end());
+    const std::set<index_t> need(ans.misses.begin(), ans.misses.end());
     {
       // Register the misses nobody has answered or claimed yet.
       MutexLock lock(g.mu);
@@ -339,7 +255,24 @@ QueryResult Dispatcher::query(const dse::RequestSpec& req) {
                  out.results);
   }
 
-  return finish();
+  // Front extraction, truncation, and the telemetry counters — identical
+  // for sweep and search responses.
+  std::vector<EvalResult> front = dse::extract_front(
+      req.config, constraints, out.results, &out.global_front_size);
+  out.front_size = front.size();
+  out.front_csv =
+      dse::results_csv(front, req.config.scored_by_label()).to_string();
+  if (req.top > 0 && static_cast<size_t>(req.top) < front.size())
+    front.resize(static_cast<size_t>(req.top));
+  out.front = std::move(front);
+  out.stats.wall_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  const WorkStealingPool& pool = WorkStealingPool::shared();
+  out.stats.pool_threads = pool.num_threads();
+  out.stats.pool_runs = pool.run_count();
+  out.stats.pool_steals = pool.steal_count();
+  return out;
 }
 
 }  // namespace apsq::serve

@@ -3,10 +3,12 @@
 //
 // A query is a RequestSpec (the same validated object a CLI invocation
 // or a --jobs experiment deserializes into). The dispatcher answers it
-// the way a SweepSession would — store lookup under (space hash, scoring
-// key), per-row canonical-key guards, batched evaluation of the misses,
-// front extraction through dse::extract_front — so a warm query never
-// evaluates and every front is byte-identical to batch mode.
+// through the same functions a SweepSession does — store lookup under
+// (space hash, scoring key), then dse::answer_from_store (the size and
+// per-row canonical-key guards, the partial-mixed and sparse-search
+// rules), batched evaluation of the misses, and front extraction through
+// dse::extract_front — so a warm query never evaluates and every front is
+// byte-identical to batch mode.
 //
 // What SweepSession doesn't have is the miss-coalescing layer: when
 // several in-flight requests miss the store under the same scoring

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +20,7 @@
 
 #include "dse/report.hpp"
 #include "dse/sweep.hpp"
+#include "serve/dispatcher.hpp"
 
 namespace apsq::dse {
 namespace {
@@ -195,47 +197,95 @@ TEST(EvalStore, SessionRejectsSnapshotsOfADifferentSpace) {
   std::remove(cold.store_out.c_str());
 }
 
-TEST(EvalStore, SessionRejectsPointCountAndIdentityMismatches) {
-  SweepConfig cold;
-  cold.space = "smoke";
-  cold.threads = 1;
-  cold.store_out = temp_path("tampered.json");
-  SweepSession(cold).run();
-  const std::string good = read_file(cold.store_out);
+/// The paths a stored snapshot answers a query through.
+enum class AnswerPath {
+  kSessionSweep,      ///< SweepSession::run, sweep mode, --store-in
+  kSessionSearch,     ///< SweepSession::run, search mode, --store-in
+  kDispatcherSweep,   ///< serve::Dispatcher::query, sweep request
+  kDispatcherSearch,  ///< serve::Dispatcher::query, search request
+};
 
-  auto run_warm = [&]() {
-    SweepConfig warm;
-    warm.space = "smoke";
-    warm.threads = 1;
-    warm.store_in = cold.store_out;
-    SweepSession session(warm);
-    return session.run();
+/// Snapshot a smoke-space answer, then tamper with it twice — the entry's
+/// recorded point count, then one row's identity — and require `path` to
+/// refuse each tampered snapshot instead of answering from it.
+void expect_stale_snapshot_guards(AnswerPath path, const std::string& tag) {
+  SweepConfig cfg;
+  cfg.space = "smoke";
+  cfg.threads = 1;
+  if (path == AnswerPath::kSessionSearch ||
+      path == AnswerPath::kDispatcherSearch) {
+    cfg.mode = RunMode::kSearch;
+    cfg.budget = 4;
+    cfg.budget_set = true;
+  }
+  const std::string file = temp_path("tampered_" + tag + ".json");
+  SweepConfig cold = cfg;
+  cold.store_out = file;
+  SweepSession(cold).run();
+  const std::string good = read_file(file);
+
+  const auto answer = [&]() {
+    if (path == AnswerPath::kSessionSweep ||
+        path == AnswerPath::kSessionSearch) {
+      SweepConfig warm = cfg;
+      warm.store_in = file;
+      SweepSession(warm).run();
+      return;
+    }
+    EvalStore store;
+    store.load_file(file);
+    serve::Dispatcher d(store);
+    RequestSpec req;
+    req.config = cfg;
+    d.query(req);
+  };
+  // The guard itself must refuse — naming what is wrong — not some
+  // earlier step that happens to throw.
+  const auto expect_refused = [&](const std::string& why) {
+    try {
+      answer();
+      ADD_FAILURE() << tag << ": expected the snapshot to be refused";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << tag << ": " << e.what();
+    }
   };
 
   // Same hash, different recorded size: a corrupted or colliding entry.
   std::string tampered = good;
   const size_t at = tampered.find("\"points\": 8");
-  ASSERT_NE(at, std::string::npos);
+  ASSERT_NE(at, std::string::npos) << tag;
   tampered.replace(at, 11, "\"points\": 9");
-  write_file(cold.store_out, tampered);
-  EXPECT_THROW(run_warm(), std::runtime_error);
+  write_file(file, tampered);
+  expect_refused("records 9 points but the space has 8");
 
   // Same hash and size, but a row denotes a different configuration than
   // the space enumerates at its index — the per-row canonical-key guard.
   tampered = good;
   const size_t wl = tampered.find("\"workload\": \"bert\"");
-  ASSERT_NE(wl, std::string::npos);
+  ASSERT_NE(wl, std::string::npos) << tag;
   tampered.replace(wl, 18, "\"workload\": \"zzzz\"");
-  write_file(cold.store_out, tampered);
-  try {
-    run_warm();
-    FAIL() << "expected run() to throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("does not match the space"),
-              std::string::npos)
-        << e.what();
-  }
-  std::remove(cold.store_out.c_str());
+  write_file(file, tampered);
+  expect_refused("does not match the space");
+  std::remove(file.c_str());
+}
+
+TEST(EvalStore, SessionRejectsPointCountAndIdentityMismatches) {
+  expect_stale_snapshot_guards(AnswerPath::kSessionSweep, "session_sweep");
+}
+
+TEST(EvalStore, SessionSearchRejectsPointCountAndIdentityMismatches) {
+  expect_stale_snapshot_guards(AnswerPath::kSessionSearch, "session_search");
+}
+
+TEST(EvalStore, DispatcherRejectsPointCountAndIdentityMismatches) {
+  expect_stale_snapshot_guards(AnswerPath::kDispatcherSweep,
+                               "dispatcher_sweep");
+}
+
+TEST(EvalStore, DispatcherSearchRejectsPointCountAndIdentityMismatches) {
+  expect_stale_snapshot_guards(AnswerPath::kDispatcherSearch,
+                               "dispatcher_search");
 }
 
 /// Satellite 3 — re-slice equivalence: a front re-sliced from a loaded
@@ -333,6 +383,50 @@ TEST(EvalStore, PartialSnapshotBatchesOnlyTheMisses) {
       store.find(hash, cfg.scoring_key());
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->complete());
+}
+
+TEST(EvalStore, PartialMixedSnapshotRerunsTheFullTwoPhaseSweep) {
+  // A mixed sweep's promotion set depends on the whole space, so a mixed
+  // snapshot missing one row must never be topped up point by point:
+  // both the session and the daemon dispatcher re-run the full two-phase
+  // sweep and report the serial cold run's front.
+  SweepConfig cfg;
+  cfg.space = "smoke";
+  cfg.threads = 1;
+  cfg.backend = EvalBackend::kMixed;
+  cfg.max_dim = 32;
+  SweepSession cold(cfg);
+  const SweepOutcome cold_out = cold.run();
+  ASSERT_EQ(cold_out.results.size(), 8u);
+  const std::string want =
+      results_csv(cold_out.front, cfg.scored_by_label()).to_string();
+
+  std::map<index_t, EvalResult> rows;
+  for (index_t i = 0; i < 7; ++i)
+    rows.emplace(i, cold_out.results[static_cast<size_t>(i)]);
+  const std::string hash = config_space_hash(ConfigSpace::smoke());
+  const auto partial_store = [&](EvalStore& store) {
+    store.merge_rows(hash, cfg.scoring_key(), cfg.scored_by_label(), 8, rows);
+    ASSERT_FALSE(store.find(hash, cfg.scoring_key())->complete());
+  };
+
+  EvalStore session_store;
+  partial_store(session_store);
+  SweepSession warm(cfg, &session_store);
+  const SweepOutcome out = warm.run();
+  EXPECT_EQ(out.store_hits, 0);
+  EXPECT_EQ(out.fresh_evaluations, 8);
+  EXPECT_EQ(results_csv(out.front, cfg.scored_by_label()).to_string(), want);
+
+  EvalStore daemon_store;
+  partial_store(daemon_store);
+  serve::Dispatcher d(daemon_store);
+  RequestSpec req;
+  req.config = cfg;
+  const serve::QueryResult qr = d.query(req);
+  EXPECT_EQ(qr.stats.store_hits, 0);
+  EXPECT_EQ(qr.stats.fresh_evaluations, 8);
+  EXPECT_EQ(qr.front_csv, want);
 }
 
 TEST(EvalStore, SharedStoreAnswersAcrossSessions) {

@@ -3,6 +3,8 @@
 // dataflow / PSUM configuration / buffer-fit regime.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.hpp"
 #include "energy/access_counts.hpp"
 #include "sim/accelerator.hpp"
@@ -17,24 +19,17 @@ TensorI8 random_i8(Shape s, Rng& rng) {
   return t;
 }
 
-// GoogleTest prints a SweepCase as its raw bytes, and those bytes become the
-// case's CTest name. `df_pad` spells out the four bytes between `df` and `m`
-// so they are always zero: as implicit padding they held leftover bytes,
-// and the case names changed from one build to the next.
 struct SweepCase {
-  SweepCase(Dataflow df_, index_t m_, index_t k_, index_t n_,
-            PsumConfig psum_, i64 ibuf_, i64 wbuf_, i64 obuf_,
-            const char* label_)
-      : df(df_), m(m_), k(k_), n(n_), psum(psum_), ibuf(ibuf_), wbuf(wbuf_),
-        obuf(obuf_), label(label_) {}
-
   Dataflow df;
-  i32 df_pad = 0;
   index_t m, k, n;
   PsumConfig psum;
   i64 ibuf, wbuf, obuf;  // buffer sizes chosen to exercise fit regimes
   const char* label;
 };
+
+// GoogleTest prints the parameter into each case's CTest name; the label
+// keeps those names readable and the same from build to build.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.label; }
 
 class CountsSweep : public ::testing::TestWithParam<SweepCase> {};
 
