@@ -144,6 +144,22 @@ class JsonParser {
     ++pos_;
   }
 
+  // Counts one open object/array for the scope's lifetime. The count is
+  // the parser's recursion depth, so the limit is what keeps a line of '['
+  // from overflowing the stack.
+  class Nesting {
+   public:
+    explicit Nesting(JsonParser& p) : p_(p) {
+      if (++p_.depth_ > kJsonMaxNesting)
+        p_.fail("nesting deeper than " + std::to_string(kJsonMaxNesting) +
+                " levels");
+    }
+    ~Nesting() { --p_.depth_; }
+
+   private:
+    JsonParser& p_;
+  };
+
   bool consume_literal(const char* lit) {
     const size_t n = std::char_traits<char>::length(lit);
     if (text_.compare(pos_, n, lit) != 0) return false;
@@ -185,6 +201,7 @@ class JsonParser {
   }
 
   JsonValue parse_object() {
+    const Nesting nesting(*this);
     expect('{');
     JsonValue v;
     v.type_ = JsonValue::Type::kObject;
@@ -219,6 +236,7 @@ class JsonParser {
   }
 
   JsonValue parse_array() {
+    const Nesting nesting(*this);
     expect('[');
     JsonValue v;
     v.type_ = JsonValue::Type::kArray;
@@ -336,6 +354,7 @@ class JsonParser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 JsonValue json_parse(const std::string& text) {

@@ -1,13 +1,16 @@
 // Minimal JSON reader — the parsing half of the repo's JSON story.
 //
-// StatsWriter / bench_json emit JSON; this module reads it back: job
-// specs (dse/jobspec.hpp) and evaluated-space snapshots (dse/store.hpp)
-// both arrive as files a user or an earlier run wrote. The parser covers
-// the full JSON grammar (objects, arrays, strings with escapes, numbers,
-// true/false/null) with two deliberate strictnesses on top of RFC 8259:
-// duplicate object keys are an error (a spec that silently dropped one of
-// two "backend" keys would run the wrong sweep), and trailing garbage
-// after the top-level value is an error. Errors throw
+// StatsWriter and the store/protocol writers emit JSON; this module reads
+// it back: job specs (dse/jobspec.hpp), evaluated-space snapshots
+// (dse/store.hpp) and daemon request lines all arrive as text a user, a
+// client or an earlier run wrote. The parser covers the full JSON grammar
+// (objects, arrays, strings with escapes, numbers, true/false/null) with
+// three deliberate strictnesses on top of RFC 8259: duplicate object keys
+// are an error (a spec that silently dropped one of two "backend" keys
+// would run the wrong sweep), trailing garbage after the top-level value
+// is an error, and objects/arrays nest at most kJsonMaxNesting deep (the
+// parser recurses per level, so an unbounded line of '[' would otherwise
+// overflow the stack instead of failing). Errors throw
 // std::invalid_argument with 1-based line:column so a typo in a hand
 // edited spec is findable. Object key order is preserved so consumers can
 // report the *first* unknown key deterministically.
@@ -72,9 +75,15 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+/// Deepest object/array nesting json_parse accepts. The deepest document
+/// this repo writes, a store snapshot, nests 5 levels; anything past the
+/// limit fails with "nesting deeper than 256 levels".
+inline constexpr int kJsonMaxNesting = 256;
+
 /// Parse one JSON document. Throws std::invalid_argument with a 1-based
 /// "line L, column C" location on any syntax error, duplicate object key,
-/// or trailing non-whitespace after the document.
+/// nesting past kJsonMaxNesting, or trailing non-whitespace after the
+/// document.
 JsonValue json_parse(const std::string& text);
 
 /// Read and parse a JSON file. Errors (unreadable file, parse failure)

@@ -86,6 +86,53 @@ TEST(Json, SyntaxErrorsCarryLineAndColumn) {
   }
 }
 
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<size_t>(depth), '[') +
+         std::string(static_cast<size_t>(depth), ']');
+}
+
+TEST(Json, NestingUpToTheLimitParses) {
+  const JsonValue doc = json_parse(nested_arrays(kJsonMaxNesting));
+  const JsonValue* v = &doc;
+  for (int d = 1; d < kJsonMaxNesting; ++d) {
+    ASSERT_EQ(v->size(), 1u);
+    v = &v->at(0);
+  }
+  EXPECT_EQ(v->size(), 0u);
+  // Objects and arrays share one count.
+  std::string mixed;
+  for (int d = 0; d < kJsonMaxNesting / 2; ++d) mixed += "{\"k\": [";
+  for (int d = 0; d < kJsonMaxNesting / 2; ++d) mixed += "]}";
+  EXPECT_NO_THROW(json_parse(mixed));
+  EXPECT_THROW(json_parse("[" + mixed + "]"), std::invalid_argument);
+}
+
+TEST(Json, NestingPastTheLimitThrowsNamingIt) {
+  try {
+    json_parse(nested_arrays(kJsonMaxNesting + 1));
+    FAIL() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("nesting deeper than 256 levels"), std::string::npos)
+        << what;
+    // The location is the bracket that went one level too deep.
+    EXPECT_NE(what.find("line 1, column 257"), std::string::npos) << what;
+  }
+  EXPECT_THROW(json_parse("{\"a\": " + nested_arrays(kJsonMaxNesting) + "}"),
+               std::invalid_argument);
+}
+
+TEST(Json, MegabyteOfOpenBracketsThrowsInsteadOfOverflowingTheStack) {
+  const std::string line(1000000, '[');
+  try {
+    json_parse(line);
+    FAIL() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256 levels"),
+              std::string::npos);
+  }
+}
+
 TEST(Json, ParseFilePrefixesErrorsWithPath) {
   const std::string path = ::testing::TempDir() + "json_test_bad.json";
   std::ofstream(path) << "{ nope";

@@ -152,6 +152,18 @@ TEST(Protocol, RejectsMalformedRequestsWithoutThrowing) {
   EXPECT_EQ(d.total_requests(), 0);
 }
 
+TEST(Protocol, OverDeepRequestLineAnswersOkFalseNamingTheLimit) {
+  dse::EvalStore store;
+  Dispatcher d(store);
+  const LineResult r = handle_request_line(d, std::string(1000000, '['));
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.shutdown);
+  const std::string error = parsed_response(r).get("error").as_string();
+  EXPECT_NE(error.find("nesting deeper than 256 levels"), std::string::npos)
+      << error;
+  EXPECT_EQ(d.total_requests(), 0);
+}
+
 TEST(Protocol, ServeStreamAnswersEachLineAndStopsAtShutdown) {
   dse::EvalStore store;
   Dispatcher d(store);
